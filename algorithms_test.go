@@ -1,23 +1,32 @@
 package mbe_test
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	mbe "repro"
+	"repro/internal/difftest"
+	"repro/internal/dist"
+	"repro/internal/engine"
+	"repro/internal/order"
+	"repro/internal/server"
 )
 
-// TestAlgorithmTableDrift pins the contract that AlgorithmNames, String
-// and ParseAlgorithm derive from one table: every listed spelling parses
-// and round-trips, every enum value is listed, the menu order is the
-// AdaMBE family followed by the remaining engines sorted
-// case-insensitively, and the "want a|b|…" error text is generated from
-// the list rather than hand-maintained.
-func TestAlgorithmTableDrift(t *testing.T) {
+// TestEngineRegistryDrift pins the contract that every layer picking an
+// engine derives from the one registry in internal/engine: the menu is
+// the AdaMBE family followed by the remaining engines sorted
+// case-insensitively; every entry round-trips through mbe.ParseAlgorithm,
+// difftest.ParseEngine (and the .repro config form) and, when rooted,
+// dist.Spec.Validate; and every non-rooted engine is refused with the
+// registry's single error by each rooted-only entry point.
+func TestEngineRegistryDrift(t *testing.T) {
 	family := []string{"AdaMBE", "ParAdaMBE", "Baseline", "AdaMBE-LN", "AdaMBE-BIT"}
-	if len(mbe.AlgorithmNames) < len(family)+1 {
-		t.Fatalf("AlgorithmNames suspiciously short: %v", mbe.AlgorithmNames)
+	if len(mbe.AlgorithmNames) != len(engine.All()) {
+		t.Fatalf("AlgorithmNames %v lists %d engines, the registry has %d", mbe.AlgorithmNames, len(mbe.AlgorithmNames), len(engine.All()))
 	}
 	for i, want := range family {
 		if mbe.AlgorithmNames[i] != want {
@@ -31,54 +40,72 @@ func TestAlgorithmTableDrift(t *testing.T) {
 		t.Fatalf("non-family algorithm names not sorted case-insensitively: %v", tail)
 	}
 
-	seen := map[mbe.Algorithm]string{}
-	for _, name := range mbe.AlgorithmNames {
-		a, err := mbe.ParseAlgorithm(name)
-		if err != nil {
-			t.Fatalf("listed name %q does not parse: %v", name, err)
-		}
-		if prev, dup := seen[a]; dup {
-			t.Fatalf("names %q and %q parse to the same algorithm %v", prev, name, a)
-		}
-		seen[a] = name
-		// Case-insensitive: the daemon's JSON convention is lowercase.
-		for _, variant := range []string{strings.ToLower(name), strings.ToUpper(name)} {
-			got, err := mbe.ParseAlgorithm(variant)
-			if err != nil || got != a {
-				t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v (case-insensitive)", variant, got, err, a)
+	g, err := mbe.Dataset("UL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range engine.All() {
+		name := mbe.AlgorithmNames[i]
+		// The public spelling, in any case, and the paper spelling.
+		for _, s := range []string{name, strings.ToLower(name), strings.ToUpper(name), id.String()} {
+			if a, err := mbe.ParseAlgorithm(s); err != nil || engine.ID(a) != id {
+				t.Errorf("mbe.ParseAlgorithm(%q) = %v, %v; want %v", s, a, err, id)
 			}
 		}
-		// String round-trips through Parse (display forms like GMBE-sim
-		// are accepted too).
-		if back, err := mbe.ParseAlgorithm(a.String()); err != nil || back != a {
-			t.Fatalf("String %q of %v does not parse back: %v, %v", a.String(), a, back, err)
+		if got := mbe.Algorithm(id).String(); got != id.String() {
+			t.Errorf("mbe.Algorithm(%v).String() = %q", id, got)
 		}
-	}
+		if e, err := difftest.ParseEngine(id.String()); err != nil || e != id {
+			t.Errorf("difftest.ParseEngine(%q) = %v, %v; want %v", id.String(), e, err, id)
+		}
+		cfg := difftest.Config{Engine: id, Order: order.UnilateralCore}
+		if back, err := difftest.ParseConfig(cfg.String()); err != nil || back != cfg {
+			t.Errorf("difftest config %q does not round-trip: %+v, %v", cfg, back, err)
+		}
 
-	// Every enum value is listed exactly once: walk the contiguous enum
-	// until String falls off the table.
-	n := 0
-	for ; !strings.HasPrefix(mbe.Algorithm(n).String(), "Algorithm("); n++ {
-	}
-	if n != len(mbe.AlgorithmNames) {
-		t.Fatalf("%d enum values but %d listed names: %v", n, len(mbe.AlgorithmNames), mbe.AlgorithmNames)
+		spec := dist.Spec{Algorithm: name, Ordering: "asc", NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(), GraphHash: g.Signature()}
+		if id.Rooted() {
+			if err := spec.Validate(); err != nil {
+				t.Errorf("dist.Spec.Validate(%s): %v", name, err)
+			}
+			continue
+		}
+
+		// A non-rooted engine: every rooted-only entry point refuses it
+		// with the registry's error, before touching the disk.
+		dir := filepath.Join(t.TempDir(), "spool")
+		for what, err := range map[string]error{
+			"mbe.Enumerate with SpoolDir": func() error {
+				_, err := mbe.Enumerate(g, mbe.Options{Algorithm: mbe.Algorithm(id), SpoolDir: dir})
+				return err
+			}(),
+			"mbe.Enumerate with StartRoot": func() error {
+				_, err := mbe.Enumerate(g, mbe.Options{Algorithm: mbe.Algorithm(id), StartRoot: 1})
+				return err
+			}(),
+			"mbe.Enumerate with EndRoot": func() error {
+				_, err := mbe.Enumerate(g, mbe.Options{Algorithm: mbe.Algorithm(id), EndRoot: 2})
+				return err
+			}(),
+			"JobSpec.Validate":   server.JobSpec{GraphID: "g", Algorithm: name}.Validate(),
+			"dist.Spec.Validate": spec.Validate(),
+		} {
+			if !errors.Is(err, engine.ErrNotRooted) {
+				t.Errorf("%s: %s returned %v, want the registry's ErrNotRooted", name, what, err)
+			}
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: a refused spooled run still created %s (%v)", name, dir, err)
+		}
 	}
 
 	// The unknown-name error embeds the generated menu, so help text and
-	// error text cannot drift apart.
-	_, err := mbe.ParseAlgorithm("definitely-not-an-algorithm")
-	if err == nil {
-		t.Fatal("unknown algorithm accepted")
+	// error text cannot drift apart; the empty name is the default.
+	_, err = mbe.ParseAlgorithm("definitely-not-an-algorithm")
+	if err == nil || !strings.Contains(err.Error(), strings.Join(mbe.AlgorithmNames, "|")) {
+		t.Fatalf("unknown-algorithm error %v does not embed the menu %v", err, mbe.AlgorithmNames)
 	}
-	if want := strings.Join(mbe.AlgorithmNames, "|"); !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not embed the generated menu %q", err, want)
-	}
-
-	// The default and the daemon's lowercase BBK spelling.
 	if a, err := mbe.ParseAlgorithm(""); err != nil || a != mbe.AdaMBE {
 		t.Fatalf("empty name = %v, %v; want AdaMBE", a, err)
-	}
-	if a, err := mbe.ParseAlgorithm("bbk"); err != nil || a != mbe.BBK {
-		t.Fatalf(`ParseAlgorithm("bbk") = %v, %v; want BBK`, a, err)
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -42,6 +41,7 @@ import (
 
 	mbe "repro"
 	"repro/internal/ckpt"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/spool"
 )
@@ -53,6 +53,7 @@ func main() {
 		runCat(os.Args[2:])
 		return
 	}
+	rooted := strings.Join(engine.RootedNames(), "|")
 	var (
 		input     = flag.String("i", "", "input KONECT edge-list file")
 		binary    = flag.String("bin", "", "input binary graph cache (see mbegen -bin)")
@@ -60,7 +61,7 @@ func main() {
 		algo      = flag.String("a", "AdaMBE", "algorithm: "+strings.Join(mbe.AlgorithmNames, "|"))
 		threads   = flag.Int("t", 0, "threads for parallel algorithms (0 = all cores)")
 		tau       = flag.Int("tau", 0, "bitmap threshold τ (0 = 64)")
-		ord       = flag.String("o", "asc", "vertex ordering for the AdaMBE family: asc|rand|uc|none")
+		ord       = flag.String("o", "asc", "vertex ordering for the rooted engines: "+strings.Join(mbe.OrderingNames, "|"))
 		seed      = flag.Int64("seed", 0, "seed for -o rand")
 		tle       = flag.Duration("tle", 0, "time budget (0 = unlimited); partial count reported on expiry")
 		maxMem    = flag.Int64("maxmem", 0, "soft engine-memory budget in MiB (0 = unlimited); partial count reported when exceeded")
@@ -73,12 +74,12 @@ func main() {
 		query     = flag.Int("query", -1, "personalized maximum biclique containing V-side vertex N")
 		minL      = flag.Int("minl", 0, "size-bounded enumeration: require |L| ≥ minl (with -minr)")
 		minR      = flag.Int("minr", 0, "size-bounded enumeration: require |R| ≥ minr (with -minl)")
-		out       = flag.String("out", "", "spool directory: stream every biclique to durable sharded storage (AdaMBE family and BBK)")
+		out       = flag.String("out", "", "spool directory: stream every biclique to durable sharded storage ("+rooted+")")
 		resume    = flag.Bool("resume", false, "resume an interrupted spooled run from its checkpoint (requires -out)")
 		fsync     = flag.String("fsync", "checkpoint", "spool fsync policy: never|checkpoint|always")
 		ckptEvery = flag.Duration("ckpt-every", 0, "checkpoint cadence for -out (0 = default 10s, negative = only at exit)")
 		compress  = flag.Bool("spool-compress", false, "flate-compress spool frames")
-		roots     = flag.String("roots", "", "enumerate only the root range a:b of the ordered V side (b empty = |V|); disjoint ranges partition the output exactly (AdaMBE family and BBK)")
+		roots     = flag.String("roots", "", "enumerate only the root range a:b of the ordered V side (b empty = |V|); disjoint ranges partition the output exactly ("+rooted+")")
 		digestOut = flag.Bool("digest", false, "accumulate the run's order-invariant multiset digest and print it; digests of disjoint -roots shards merge into the full run's digest")
 	)
 	flag.Parse()
@@ -181,11 +182,10 @@ func main() {
 			}
 		}
 	}
-	finishObs := startObs(&opts, g, a, *dataset+*input+*binary,
-		*threads, *progress, *sample, *events, *debugAddr != "")
+	finishObs := startObs(&opts, g, *dataset+*input+*binary, *progress, *sample, *events, *debugAddr != "")
 
 	res, err := mbe.Enumerate(g, opts)
-	finishObs(res.StopReason.String())
+	finishObs()
 	if err != nil && !errors.Is(err, mbe.ErrPanic) {
 		fmt.Fprintln(os.Stderr, "mbe:", err)
 		os.Exit(1)
@@ -286,44 +286,19 @@ func printSpoolStatus(dir string) {
 // a Recorder wired into the engine (Options.Obs), the progress sampler
 // (stderr rate line and/or a JSONL event file), and the /debug/progress
 // registry. It returns a finish function to call once Enumerate returns —
-// on every exit path — which records the stop reason, takes the final
-// sample and flushes the event file. When no observability flag is set it
-// is a no-op returning a no-op.
-func startObs(opts *mbe.Options, g *mbe.Graph, a mbe.Algorithm, dataset string,
-	threads int, progress, sample time.Duration, events string, debug bool) func(stopReason string) {
+// on every exit path — which takes the final sample and flushes the event
+// file. When no observability flag is set it is a no-op returning a no-op.
+func startObs(opts *mbe.Options, g *mbe.Graph, dataset string,
+	progress, sample time.Duration, events string, debug bool) func() {
 	if progress <= 0 && events == "" && !debug {
-		return func(string) {}
-	}
-	width := 1
-	switch a {
-	case mbe.ParAdaMBE, mbe.ParMBE, mbe.GMBESim:
-		width = threads
-		if width == 0 {
-			width = runtime.GOMAXPROCS(0)
-		}
+		return func() {}
 	}
 	rec := mbe.NewRecorder(mbe.RunInfo{
-		Algorithm: a.String(), Dataset: dataset, Threads: width,
-		NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(),
+		Algorithm: opts.Algorithm.String(), Dataset: dataset,
+		Threads: engine.ID(opts.Algorithm).Width(opts.Threads),
+		NU:      g.NU(), NV: g.NV(), Edges: g.NumEdges(),
 	})
-	external := !isCoreAlgorithm(a)
-	if external {
-		// The competitor engines carry no probes: feed the biclique counter
-		// from the delivery handler so the sampler still sees live counts,
-		// and drive the run lifecycle from here instead of the engine.
-		rec.RunBegin(obs.RunConfig{Workers: 1, Deadline: opts.Deadline, MemBudgetBytes: opts.MaxMemoryBytes})
-		probe := rec.Worker(0)
-		probe.SetState(obs.StateBusy)
-		inner := opts.OnBiclique
-		opts.OnBiclique = func(L, R []int32) {
-			probe.Biclique()
-			if inner != nil {
-				inner(L, R)
-			}
-		}
-	} else {
-		opts.Obs = rec
-	}
+	opts.Obs = rec
 	if debug {
 		obs.Publish(rec)
 	}
@@ -341,10 +316,7 @@ func startObs(opts *mbe.Options, g *mbe.Graph, a mbe.Algorithm, dataset string,
 		so.Sink = sink
 	}
 	stop := obs.StartSampler(rec, so)
-	return func(stopReason string) {
-		if external {
-			rec.Finish(stopReason)
-		}
+	return func() {
 		stop()
 		if sink != nil {
 			if err := sink.Flush(); err != nil {
@@ -355,14 +327,6 @@ func startObs(opts *mbe.Options, g *mbe.Graph, a mbe.Algorithm, dataset string,
 			}
 		}
 	}
-}
-
-func isCoreAlgorithm(a mbe.Algorithm) bool {
-	switch a {
-	case mbe.AdaMBE, mbe.ParAdaMBE, mbe.BaselineMBE, mbe.AdaMBELN, mbe.AdaMBEBIT:
-		return true
-	}
-	return false
 }
 
 // progressPrinter returns the sampler hook behind -progress: the classic

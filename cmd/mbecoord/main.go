@@ -34,7 +34,9 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/order"
 )
 
 func main() {
@@ -47,8 +49,8 @@ func main() {
 		input    = flag.String("i", "", "input KONECT edge-list file (workers must see the same path)")
 		binary   = flag.String("bin", "", "input binary graph cache")
 		dataset  = flag.String("d", "", "built-in synthetic dataset name (e.g. GH, BX, ceb)")
-		algo     = flag.String("a", "AdaMBE", "algorithm: AdaMBE|ParAdaMBE|Baseline|AdaMBE-LN|AdaMBE-BIT|BBK")
-		ord      = flag.String("o", "asc", "vertex ordering: asc|rand|uc|none")
+		algo     = flag.String("a", "AdaMBE", "algorithm: "+strings.Join(engine.RootedNames(), "|"))
+		ord      = flag.String("o", "asc", "vertex ordering: "+strings.Join(order.Tags(), "|"))
 		seed     = flag.Int64("seed", 0, "seed for -o rand")
 		tau      = flag.Int("tau", 0, "bitmap threshold τ (0 = 64)")
 		ranges   = flag.Int("ranges", 16, "number of root ranges to shard the run into")

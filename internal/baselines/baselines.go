@@ -24,7 +24,6 @@
 package baselines
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -48,7 +47,7 @@ const (
 	// bipartite Bron–Kerbosch of Baudin et al. (arXiv:2405.04428), added
 	// as a post-paper serial engine; see bbk.go. Unlike the other
 	// competitors it supports the durable emission path
-	// (Options.Sink/Frontier/StartRoot).
+	// (core.Options.Sink/Frontier/StartRoot).
 	BBK Algorithm = "BBK"
 )
 
@@ -63,48 +62,7 @@ func Parallel() []Algorithm { return []Algorithm{ParMBE, GMBE} }
 // iterates this to cover the full engine matrix.
 func All() []Algorithm { return append(append(Serial(), Parallel()...), BBK) }
 
-// Options configures a baseline run.
-type Options struct {
-	// Threads is used by ParMBE and GMBE; serial algorithms ignore it.
-	Threads int
-	// OnBiclique receives every maximal biclique (slices reused; parallel
-	// algorithms may call it concurrently — Run serializes user callbacks).
-	OnBiclique core.Handler
-	// Deadline, when set, stops the run early with
-	// Result.StopReason == core.StopDeadline.
-	Deadline time.Time
-	// Context, if non-nil, stops the run when canceled; partial counts are
-	// returned with StopReason == core.StopCanceled.
-	Context context.Context
-	// MaxMemoryBytes, if positive, is the same soft engine-tracked memory
-	// budget core.Options exposes: slab scratch, the ParMBE hash
-	// representation, GMBE warp workspaces and per-worker mark tables count
-	// against it, and exceeding it stops the run with
-	// StopReason == core.StopMemoryBudget.
-	MaxMemoryBytes int64
-	// FaultHook, if non-nil, is invoked at the baselines' instrumentation
-	// sites (the Site* constants in this package). Same contract as
-	// core.Options.FaultHook: an error simulates an allocation failure, a
-	// panic exercises the panic-isolation path. Test-only.
-	FaultHook func(site string) error
-	// Metrics, if non-nil, gathers node and set-intersection counters.
-	// Only BBK reports metrics; the paper competitors ignore it (their
-	// instrumentation lives in the figures they were built to reproduce).
-	Metrics *core.Metrics
-	// Sink, Frontier, StartRoot and EndRoot attach the durable emission
-	// path (root-tagged emission, frontier watermark, resume-from-watermark,
-	// bounded root ranges) with the same contract as the core engines'
-	// core.Options fields. BBK only: it shares the core engines' root
-	// partition (a maximal biclique is emitted under root min(R)), so spool
-	// checkpoints and root-range shards are exact for it too. The paper
-	// competitors ignore all four.
-	Sink      core.Sink
-	Frontier  core.FrontierObserver
-	StartRoot int32
-	EndRoot   int32
-}
-
-// Instrumentation sites where Options.FaultHook fires.
+// Instrumentation sites where core.Options.FaultHook fires.
 const (
 	// SiteSerialNode fires per candidate expansion in the shared serial
 	// skeleton (FMBE, PMBE, ooMBEA).
@@ -119,25 +77,25 @@ const (
 	SiteBBKNode = "baselines/bbk-node"
 )
 
-// stopConfig translates Options into the shared stopper conditions.
-func (o *Options) stopConfig() tle.Config {
-	return tle.Config{
-		Deadline:       o.Deadline,
-		Context:        o.Context,
-		MaxMemoryBytes: o.MaxMemoryBytes,
-	}
-}
-
 // Run executes the named competitor algorithm on g. g's V side is used in
 // its natural order except for ooMBEA, which applies its own UC ordering
 // internally (ids reported to the handler are mapped back to g's ids).
+//
+// opts is the core engines' run spec, read as follows: Threads by ParMBE
+// and GMBE (<= 0 means GOMAXPROCS), OnBiclique, Deadline, Context,
+// MaxMemoryBytes and FaultHook (at the Site* constants) by every
+// algorithm, and Metrics (node and set-intersection counters) plus the
+// durable emission path — Sink, Frontier, StartRoot and EndRoot — by BBK
+// alone, which shares the core engines' root partition (a maximal
+// biclique is emitted under root min(R)). Parallel algorithms serialize
+// calls to OnBiclique. The remaining fields are core-only.
 //
 // Lifecycle guarantees match core.Enumerate: deadline, context cancellation
 // and the memory budget stop the run with partial monotone counts and the
 // matching Result.StopReason, and a panic in any algorithm or user handler
 // is recovered into an error wrapping core.ErrPanic with no goroutine
 // leaked.
-func Run(g *graph.Bipartite, alg Algorithm, opts Options) (core.Result, error) {
+func Run(g *graph.Bipartite, alg Algorithm, opts core.Options) (core.Result, error) {
 	if opts.StartRoot < 0 {
 		return core.Result{}, fmt.Errorf("%w: negative StartRoot %d", core.ErrBadOptions, opts.StartRoot)
 	}

@@ -15,7 +15,7 @@ func allAlgorithms() []Algorithm {
 	return All() // FMBE, PMBE, ooMBEA, ParMBE, GMBE, BBK
 }
 
-func collect(t *testing.T, g *graph.Bipartite, alg Algorithm, opts Options) ([]string, core.Result) {
+func collect(t *testing.T, g *graph.Bipartite, alg Algorithm, opts core.Options) ([]string, core.Result) {
 	t.Helper()
 	var keys []string
 	opts.OnBiclique = func(L, R []int32) {
@@ -33,7 +33,7 @@ func TestPaperExampleAllBaselines(t *testing.T) {
 	g := graph.PaperExample()
 	want := core.BruteForceKeys(g)
 	for _, alg := range allAlgorithms() {
-		got, res := collect(t, g, alg, Options{Threads: 3})
+		got, res := collect(t, g, alg, core.Options{Threads: 3})
 		if res.Count != int64(len(want)) {
 			t.Fatalf("%s: count %d, want %d", alg, res.Count, len(want))
 		}
@@ -54,7 +54,7 @@ func TestCrossValidationAgainstOracle(t *testing.T) {
 		g := gen.Uniform(seed, nu, nv, m)
 		want := core.BruteForceKeys(g)
 		for _, alg := range allAlgorithms() {
-			got, res := collect(t, g, alg, Options{Threads: 2})
+			got, res := collect(t, g, alg, core.Options{Threads: 2})
 			if res.Count != int64(len(want)) {
 				t.Fatalf("seed %d (nu=%d nv=%d m=%d) %s: count %d, want %d",
 					seed, nu, nv, m, alg, res.Count, len(want))
@@ -80,7 +80,7 @@ func TestBaselinesMatchAdaMBEOnMediumGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range allAlgorithms() {
-			res, err := Run(g, alg, Options{Threads: 4})
+			res, err := Run(g, alg, core.Options{Threads: 4})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, alg, err)
 			}
@@ -96,7 +96,7 @@ func TestBaselinesEmptyGraphs(t *testing.T) {
 	edgeless, _ := graph.FromEdges(4, 3, nil)
 	for _, g := range []*graph.Bipartite{empty, edgeless} {
 		for _, alg := range allAlgorithms() {
-			res, err := Run(g, alg, Options{Threads: 2})
+			res, err := Run(g, alg, core.Options{Threads: 2})
 			if err != nil {
 				t.Fatalf("%s: %v", alg, err)
 			}
@@ -109,7 +109,7 @@ func TestBaselinesEmptyGraphs(t *testing.T) {
 
 func TestBaselinesDeadline(t *testing.T) {
 	g := gen.Affiliation(9, gen.AffiliationConfig{NU: 300, NV: 100, Communities: 60, MeanU: 8, MeanV: 6, Density: 0.95})
-	full, err := Run(g, FMBE, Options{})
+	full, err := Run(g, FMBE, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBaselinesDeadline(t *testing.T) {
 		t.Fatal("degenerate test graph")
 	}
 	for _, alg := range allAlgorithms() {
-		res, err := Run(g, alg, Options{Threads: 2, Deadline: time.Now().Add(-time.Second)})
+		res, err := Run(g, alg, core.Options{Threads: 2, Deadline: time.Now().Add(-time.Second)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestBaselinesDeadline(t *testing.T) {
 }
 
 func TestUnknownAlgorithmRejected(t *testing.T) {
-	if _, err := Run(graph.PaperExample(), Algorithm("NOPE"), Options{}); err == nil {
+	if _, err := Run(graph.PaperExample(), Algorithm("NOPE"), core.Options{}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -150,7 +150,7 @@ func TestOOMBEAReportsOriginalIDs(t *testing.T) {
 	// ooMBEA permutes V internally; reported R ids must be in g's space.
 	g := gen.Uniform(21, 40, 15, 150)
 	var bad bool
-	opts := Options{OnBiclique: func(L, R []int32) {
+	opts := core.Options{OnBiclique: func(L, R []int32) {
 		for _, v := range R {
 			if v < 0 || int(v) >= g.NV() {
 				bad = true
@@ -174,13 +174,13 @@ func TestOOMBEAReportsOriginalIDs(t *testing.T) {
 
 func TestParallelAlgorithmsThreadCountInvariance(t *testing.T) {
 	g := gen.PowerLaw(31, 250, 70, 1800, 1.3, 1.5)
-	ref, err := Run(g, ParMBE, Options{Threads: 1})
+	ref, err := Run(g, ParMBE, core.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range Parallel() {
 		for _, threads := range []int{1, 2, 8} {
-			res, err := Run(g, alg, Options{Threads: threads})
+			res, err := Run(g, alg, core.Options{Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}

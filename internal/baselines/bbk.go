@@ -43,7 +43,7 @@ type bbkEngine struct {
 	curRoot  int32
 	ids      vset.Slab[int32]
 
-	// Local metric counters, flushed into Options.Metrics at the end so a
+	// Local metric counters, flushed into core.Options.Metrics at the end so a
 	// recovered panic still reports what was gathered.
 	nodesGen    int64
 	nodesMax    int64
@@ -69,7 +69,7 @@ func (e *bbkEngine) faultStep(site string) {
 // panic anywhere in the recursion or a user handler is recovered into an
 // error wrapping core.ErrPanic, with the monotone partial count (and any
 // metrics gathered) still reported.
-func runBBK(g *graph.Bipartite, opts Options, shared *tle.Shared) (res core.Result, err error) {
+func runBBK(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (res core.Result, err error) {
 	e := &bbkEngine{
 		g:        g,
 		handler:  opts.OnBiclique,
@@ -77,7 +77,7 @@ func runBBK(g *graph.Bipartite, opts Options, shared *tle.Shared) (res core.Resu
 		frontier: opts.Frontier,
 		hook:     opts.FaultHook,
 	}
-	e.stop = tle.NewStopper(shared, opts.stopConfig())
+	e.stop = tle.NewStopper(shared, opts.StopConfig())
 	e.ids.OnGrow = e.stop.AddMem
 	e.stop.AddMem(int64(g.NV()) * 4) // two-hop mark table
 	defer func() {

@@ -41,7 +41,7 @@ func TestBBKRootPartition(t *testing.T) {
 	sink := &recordingSink{}
 	fr := &recordingFrontier{done: map[int32]int{}}
 	minR := make([]int32, 0, 16)
-	res, err := Run(g, BBK, Options{
+	res, err := Run(g, BBK, core.Options{
 		Sink:     sink,
 		Frontier: fr,
 		OnBiclique: func(L, R []int32) {
@@ -84,7 +84,7 @@ func TestBBKRootPartition(t *testing.T) {
 func TestBBKStartRoot(t *testing.T) {
 	g := gen.PowerLaw(34, 90, 45, 700, 1.5, 1.7)
 	full := &recordingSink{}
-	if _, err := Run(g, BBK, Options{Sink: full}); err != nil {
+	if _, err := Run(g, BBK, core.Options{Sink: full}); err != nil {
 		t.Fatal(err)
 	}
 	w := int32(g.NV() / 3)
@@ -96,7 +96,7 @@ func TestBBKStartRoot(t *testing.T) {
 	}
 	part := &recordingSink{}
 	fr := &recordingFrontier{done: map[int32]int{}}
-	if _, err := Run(g, BBK, Options{Sink: part, Frontier: fr, StartRoot: w}); err != nil {
+	if _, err := Run(g, BBK, core.Options{Sink: part, Frontier: fr, StartRoot: w}); err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(want)
@@ -126,7 +126,7 @@ func TestBBKStartRoot(t *testing.T) {
 func TestBBKMetrics(t *testing.T) {
 	g := gen.Affiliation(35, gen.AffiliationConfig{NU: 60, NV: 30, Communities: 8, MeanU: 5, MeanV: 4, Density: 0.9, NoiseEdges: 60})
 	var m core.Metrics
-	res, err := Run(g, BBK, Options{Metrics: &m})
+	res, err := Run(g, BBK, core.Options{Metrics: &m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestBBKPivotFixtures(t *testing.T) {
 	}
 	for name, g := range graphs {
 		want := core.BruteForceKeys(g)
-		got, res := collect(t, g, BBK, Options{})
+		got, res := collect(t, g, BBK, core.Options{})
 		if res.Count != int64(len(want)) {
 			t.Fatalf("%s: count %d, want %d", name, res.Count, len(want))
 		}

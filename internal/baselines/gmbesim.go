@@ -34,7 +34,7 @@ const gmbeOversubscription = 16
 // Lifecycle: each root task runs under panic recovery; a panic trips the
 // run-wide stop state so every warp breaks out of the work loop, and the
 // first panic is reported as the run's error with counts still merged.
-func runGMBESim(g *graph.Bipartite, opts Options, shared *tle.Shared) (core.Result, error) {
+func runGMBESim(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core.Result, error) {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -131,7 +131,7 @@ func (e *gmbeWarp) faultStep(site string) {
 	}
 }
 
-func newGMBEWarp(g *graph.Bipartite, handler core.Handler, opts Options, shared *tle.Shared) *gmbeWarp {
+func newGMBEWarp(g *graph.Bipartite, handler core.Handler, opts core.Options, shared *tle.Shared) *gmbeWarp {
 	w := &gmbeWarp{
 		g:       g,
 		handler: handler,
@@ -139,7 +139,7 @@ func newGMBEWarp(g *graph.Bipartite, handler core.Handler, opts Options, shared 
 		lBits:   bitset.New(g.NU()),
 		th:      newTwoHop(g),
 	}
-	w.stop = tle.NewStopper(shared, opts.stopConfig())
+	w.stop = tle.NewStopper(shared, opts.StopConfig())
 	w.ids.OnGrow = w.stop.AddMem
 	// The bitmap and mark table are part of each warp's pre-allocated
 	// footprint; slab reservations below are charged through OnGrow.

@@ -20,14 +20,14 @@ func lifecycleGraph() *graph.Bipartite {
 
 func TestParMBEWorkerPanicMidRun(t *testing.T) {
 	g := lifecycleGraph()
-	full, err := Run(g, ParMBE, Options{Threads: 4})
+	full, err := Run(g, ParMBE, core.Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLeaks := faultinject.CheckGoroutines(t)
 	inj := faultinject.New(11)
 	inj.PanicAt(SiteParMBETask, 500)
-	res, err := Run(g, ParMBE, Options{Threads: 4, FaultHook: inj.Hook()})
+	res, err := Run(g, ParMBE, core.Options{Threads: 4, FaultHook: inj.Hook()})
 	if !errors.Is(err, core.ErrPanic) {
 		t.Fatalf("err = %v, want wrapping core.ErrPanic", err)
 	}
@@ -42,14 +42,14 @@ func TestParMBEWorkerPanicMidRun(t *testing.T) {
 
 func TestGMBEWarpPanicMidRun(t *testing.T) {
 	g := lifecycleGraph()
-	full, err := Run(g, GMBE, Options{Threads: 2})
+	full, err := Run(g, GMBE, core.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLeaks := faultinject.CheckGoroutines(t)
 	inj := faultinject.New(13)
 	inj.PanicAt(SiteGMBETask, 500)
-	res, err := Run(g, GMBE, Options{Threads: 2, FaultHook: inj.Hook()})
+	res, err := Run(g, GMBE, core.Options{Threads: 2, FaultHook: inj.Hook()})
 	if !errors.Is(err, core.ErrPanic) {
 		t.Fatalf("err = %v, want wrapping core.ErrPanic", err)
 	}
@@ -66,7 +66,7 @@ func TestSerialBaselinePanicInHandlerRecovered(t *testing.T) {
 	g := lifecycleGraph()
 	for _, alg := range append(Serial(), BBK) {
 		n := 0
-		res, err := Run(g, alg, Options{
+		res, err := Run(g, alg, core.Options{
 			OnBiclique: func(L, R []int32) {
 				n++
 				if n == 5 {
@@ -92,7 +92,7 @@ func TestBaselinesPreCanceledContext(t *testing.T) {
 	cancel()
 	for _, alg := range allAlgorithms() {
 		checkLeaks := faultinject.CheckGoroutines(t)
-		res, err := Run(g, alg, Options{Threads: 2, Context: ctx})
+		res, err := Run(g, alg, core.Options{Threads: 2, Context: ctx})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -110,7 +110,7 @@ func TestBaselinesMemoryBudget(t *testing.T) {
 	g := lifecycleGraph()
 	for _, alg := range allAlgorithms() {
 		// 1 byte: the mark-table/representation base charges alone blow it.
-		res, err := Run(g, alg, Options{Threads: 2, MaxMemoryBytes: 1})
+		res, err := Run(g, alg, core.Options{Threads: 2, MaxMemoryBytes: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -118,7 +118,7 @@ func TestBaselinesMemoryBudget(t *testing.T) {
 			t.Fatalf("%s: StopReason = %v, want StopMemoryBudget", alg, res.StopReason)
 		}
 		// A generous budget must not trip.
-		res, err = Run(g, alg, Options{Threads: 2, MaxMemoryBytes: 1 << 30})
+		res, err = Run(g, alg, core.Options{Threads: 2, MaxMemoryBytes: 1 << 30})
 		if err != nil || res.StopReason != core.StopNone {
 			t.Fatalf("%s with 1GiB budget: StopReason = %v err = %v", alg, res.StopReason, err)
 		}
@@ -129,7 +129,7 @@ func TestBaselinesDeadlineStopReason(t *testing.T) {
 	g := lifecycleGraph()
 	expired := time.Now().Add(-time.Hour)
 	for _, alg := range allAlgorithms() {
-		res, err := Run(g, alg, Options{Threads: 2, Deadline: expired})
+		res, err := Run(g, alg, core.Options{Threads: 2, Deadline: expired})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -144,13 +144,13 @@ func TestBaselinesDeadlineStopReason(t *testing.T) {
 
 func TestSerialBaselineAllocFailInjection(t *testing.T) {
 	g := lifecycleGraph()
-	full, err := Run(g, FMBE, Options{})
+	full, err := Run(g, FMBE, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(17)
 	inj.FailAllocAt(SiteSerialNode, 500)
-	res, err := Run(g, FMBE, Options{FaultHook: inj.Hook()})
+	res, err := Run(g, FMBE, core.Options{FaultHook: inj.Hook()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +164,13 @@ func TestSerialBaselineAllocFailInjection(t *testing.T) {
 
 func TestBBKAllocFailInjection(t *testing.T) {
 	g := lifecycleGraph()
-	full, err := Run(g, BBK, Options{})
+	full, err := Run(g, BBK, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(19)
 	inj.FailAllocAt(SiteBBKNode, 500)
-	res, err := Run(g, BBK, Options{FaultHook: inj.Hook()})
+	res, err := Run(g, BBK, core.Options{FaultHook: inj.Hook()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestBBKAllocFailInjection(t *testing.T) {
 
 func TestBBKMidRunCancel(t *testing.T) {
 	g := lifecycleGraph()
-	full, err := Run(g, BBK, Options{})
+	full, err := Run(g, BBK, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBBKMidRunCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := int64(0)
-	res, err := Run(g, BBK, Options{
+	res, err := Run(g, BBK, core.Options{
 		Context: ctx,
 		OnBiclique: func(L, R []int32) {
 			if n++; n == 50 {

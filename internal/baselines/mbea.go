@@ -51,9 +51,9 @@ func (e *mbeaEngine) faultStep(site string) {
 // runMBEA drives the serial skeleton under panic isolation: a panic
 // anywhere in the recursion or a user handler is recovered into an error
 // wrapping core.ErrPanic, with the count gathered so far still reported.
-func runMBEA(g *graph.Bipartite, cfg mbeaConfig, opts Options, shared *tle.Shared) (res core.Result, err error) {
+func runMBEA(g *graph.Bipartite, cfg mbeaConfig, opts core.Options, shared *tle.Shared) (res core.Result, err error) {
 	e := &mbeaEngine{g: g, cfg: cfg, handler: opts.OnBiclique, hook: opts.FaultHook}
-	e.stop = tle.NewStopper(shared, opts.stopConfig())
+	e.stop = tle.NewStopper(shared, opts.StopConfig())
 	e.ids.OnGrow = e.stop.AddMem
 	e.stop.AddMem(int64(g.NV()) * 4) // two-hop mark table
 	defer func() {

@@ -102,7 +102,7 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 		variant: opts.Variant,
 		tau:     opts.tau(),
 		handler: opts.OnBiclique,
-		stop:    tle.NewStopper(shared, opts.stopConfig()),
+		stop:    tle.NewStopper(shared, opts.StopConfig()),
 		hook:    opts.FaultHook,
 		collect: opts.Metrics != nil,
 		probe:   opts.Obs.Worker(wid),

@@ -427,12 +427,6 @@ func (m *Metrics) merge(o *Metrics) {
 // ErrBadOptions reports invalid enumeration options.
 var ErrBadOptions = errors.New("core: invalid options")
 
-// ValidateRootRange checks a [start, end) root range against a graph
-// with nv roots: end == 0 means "to the last root" and is always valid;
-// a negative, empty, or reversed range, or one reaching past nv, is an
-// ErrBadOptions. Shared by every layer that plumbs StartRoot/EndRoot
-// (core, baselines, the public API and internal/dist), so the error
-// vocabulary cannot drift between them.
 // rootFrontierEnd is the exclusive end of the run's root frontier — the
 // value progress reporting treats as "100% of roots".
 func rootFrontierEnd(opts Options, nv int) int32 {
@@ -442,6 +436,12 @@ func rootFrontierEnd(opts Options, nv int) int32 {
 	return int32(nv)
 }
 
+// ValidateRootRange checks a [start, end) root range against a graph
+// with nv roots: end == 0 means "to the last root" and is always valid;
+// a negative, empty, or reversed range, or one reaching past nv, is an
+// ErrBadOptions. Shared by every layer that plumbs StartRoot/EndRoot
+// (core, baselines, the public API and internal/dist), so the error
+// vocabulary cannot drift between them.
 func ValidateRootRange(start, end int32, nv int) error {
 	switch {
 	case end < 0:
@@ -471,8 +471,9 @@ func PanicError(where string, r any) error {
 // panicError is the package-local spelling of PanicError.
 func panicError(where string, r any) error { return PanicError(where, r) }
 
-// stopConfig translates enumeration options into the stopper conditions.
-func (o *Options) stopConfig() tle.Config {
+// StopConfig translates enumeration options into the stopper conditions.
+// Exported for the competitor baselines, which take the same Options.
+func (o *Options) StopConfig() tle.Config {
 	return tle.Config{
 		Deadline:       o.Deadline,
 		Context:        o.Context,

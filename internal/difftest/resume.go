@@ -8,7 +8,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/order"
 	"repro/internal/spool"
 )
 
@@ -32,8 +31,8 @@ type SpoolRunResult struct {
 // the run (context cancellation, exactly how Ctrl-C lands) after each
 // emission count in interrupts, resuming after each, then letting the
 // final attempt run to completion. The digest of the final spool
-// contents is returned. Only core engines are supported (the spool
-// path is wired through core.Options).
+// contents is returned. Every rooted engine is supported: the run goes
+// through the engine registry's one spool session.
 func RunSpooled(g *graph.Bipartite, c Config, dir string, interrupts []int64) (SpoolRunResult, error) {
 	var out SpoolRunResult
 	for _, after := range interrupts {
@@ -64,89 +63,37 @@ func RunSpooled(g *graph.Bipartite, c Config, dir string, interrupts []int64) (S
 	return out, fmt.Errorf("difftest: %s: spooled run did not complete after %d attempts", c, out.Attempts)
 }
 
-// cancelSink counts emissions and cancels the run's context once the
-// budget is spent — a deterministic-enough stand-in for an interrupt
-// that always lands mid-enumeration.
-type cancelSink struct {
-	inner     core.Sink
-	remaining atomic.Int64
-	cancel    context.CancelFunc
-}
-
-func (s *cancelSink) Emit(worker int, root int32, L, R []int32) {
-	s.inner.Emit(worker, root, L, R)
-	if s.remaining.Add(-1) == 0 {
-		s.cancel()
-	}
-}
-
-// runSpooledOnce is one attempt: open (or resume) the session, wire the
-// sink/frontier/start-root into core, enumerate — cancelling after
-// cancelAfter emissions when > 0 — and close the session with the
-// outcome. Returns whether enumeration ran to completion.
+// runSpooledOnce is one attempt: open (or resume) the spool session and
+// enumerate — cancelling after cancelAfter emissions when > 0, a
+// deterministic-enough stand-in for an interrupt that always lands
+// mid-enumeration — and close the session with the outcome. Returns
+// whether enumeration ran to completion.
 func runSpooledOnce(g *graph.Bipartite, c Config, dir string, resume bool, cancelAfter int64) (bool, error) {
-	variant, ok := c.Engine.coreVariant()
-	if !ok {
-		return false, fmt.Errorf("difftest: %s: only core engines support spooling", c)
-	}
-	threads := 0
-	if c.Engine == EngParAda && c.Threads > 1 {
-		threads = c.Threads
-	}
-	workers := threads
-	if workers < 1 {
-		workers = 1
-	}
-
-	perm := order.Permutation(g, c.Order, c.Seed)
-	pg, err := g.PermuteV(perm)
-	if err != nil {
-		return false, fmt.Errorf("difftest: %s: apply ordering: %w", c, err)
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sess, err := ckpt.Open(ckpt.OpenOptions{
-		Dir: dir,
-		Meta: spool.Meta{
-			Version: 1, Tool: "difftest", Algorithm: c.Engine.String(),
-			Ordering: c.Order.String(), OrderSeed: c.Seed, Tau: c.Tau, Shards: workers,
-			NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(), GraphHash: spool.GraphSignature(g),
-		},
+	spec := core.Options{Tau: c.Tau, Threads: max(c.Threads, 1), Context: ctx}
+	if cancelAfter > 0 {
+		var remaining atomic.Int64
+		remaining.Store(cancelAfter)
+		// Unordered delivery reaches the counter at emission time, where
+		// the spool sink sees each biclique, instead of at batch flushes.
+		spec.UnorderedEmit = true
+		spec.OnBiclique = func(L, R []int32) {
+			if remaining.Add(-1) == 0 {
+				cancel()
+			}
+		}
+	}
+	res, err := c.Engine.Enumerate(g, c.Order, c.Seed, spec, &ckpt.OpenOptions{
+		Dir:    dir,
+		Meta:   spool.Meta{Tool: "difftest"},
 		Resume: resume,
 		Every:  -1, // checkpoints only at Finish: deterministic resume points
-		Writer: spool.WriterOptions{OnError: func(error) { cancel() }},
 	})
-	if err != nil {
-		return false, err
-	}
-	if sess.AlreadyComplete() {
-		return true, nil
-	}
-
-	var sink core.Sink = sess.Sink(perm, workers)
-	if cancelAfter > 0 {
-		cs := &cancelSink{inner: sink, cancel: cancel}
-		cs.remaining.Store(cancelAfter)
-		sink = cs
-	}
-	res, err := core.Enumerate(pg, core.Options{
-		Variant:   variant,
-		Tau:       c.Tau,
-		Threads:   threads,
-		Context:   ctx,
-		Sink:      sink,
-		Frontier:  sess.Frontier(),
-		StartRoot: sess.StartRoot(),
-	})
-	complete := err == nil && res.StopReason == core.StopNone
-	if ferr := sess.Finish(complete); ferr != nil && err == nil {
-		err = ferr
-	}
 	if err != nil {
 		return false, fmt.Errorf("difftest: %s: %w", c, err)
 	}
-	return complete, nil
+	return res.StopReason == core.StopNone, nil
 }
 
 // SpoolReplayDigest digests the spool's contents — the replay-side twin

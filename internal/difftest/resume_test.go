@@ -11,7 +11,7 @@ import (
 
 // resumeGraphs builds the 20-graph corpus for the resume matrix: a
 // spread of uniform and power-law shapes small enough that the full
-// matrix (graphs × interrupt points × thread counts) stays inside the
+// matrix (graphs × interrupt points × engine cells) stays inside the
 // CI budget but big enough that interrupts land mid-enumeration.
 func resumeGraphs() []*graph.Bipartite {
 	var gs []*graph.Bipartite
@@ -25,17 +25,26 @@ func resumeGraphs() []*graph.Bipartite {
 }
 
 // TestResumeEquality is the tentpole acceptance matrix: for every graph
-// × interrupt point × thread count, an interrupted-then-resumed spooled
-// run must produce a spool whose digest equals an uninterrupted
-// enumeration of the same graph — zero dropped, zero duplicated
-// bicliques, proven by multiset fingerprint rather than count.
+// × interrupt point × engine cell (serial AdaMBE, ParAdaMBE at 4 and 8
+// threads, BBK), an interrupted-then-resumed spooled run must produce a
+// spool whose digest equals an uninterrupted enumeration of the same
+// graph — zero dropped, zero duplicated bicliques, proven by multiset
+// fingerprint rather than count.
 func TestResumeEquality(t *testing.T) {
 	graphs := resumeGraphs()
 	if len(graphs) != 20 {
 		t.Fatalf("corpus has %d graphs, want 20", len(graphs))
 	}
 	interrupts := []int64{1, 40, 400} // first emission, early, mid-run
-	threadCounts := []int{1, 4, 8}
+	cells := []struct {
+		name string
+		c    Config
+	}{
+		{"threads=1", Config{Engine: EngAda, Order: order.DegreeAscending, Threads: 1}},
+		{"threads=4", Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: 4}},
+		{"threads=8", Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: 8}},
+		{"engine=BBK", Config{Engine: EngBBK, Order: order.DegreeAscending, Threads: 1}},
+	}
 
 	for gi, g := range graphs {
 		// One oracle digest per graph: the ordinary in-memory serial run.
@@ -44,13 +53,10 @@ func TestResumeEquality(t *testing.T) {
 			t.Fatalf("graph %d: oracle: %v", gi, err)
 		}
 		for _, after := range interrupts {
-			for _, threads := range threadCounts {
-				name := fmt.Sprintf("g%02d/interrupt=%d/threads=%d", gi, after, threads)
+			for _, cell := range cells {
+				name := fmt.Sprintf("g%02d/interrupt=%d/%s", gi, after, cell.name)
+				c := cell.c
 				t.Run(name, func(t *testing.T) {
-					c := Config{Engine: EngAda, Order: order.DegreeAscending, Threads: 1}
-					if threads > 1 {
-						c = Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: threads}
-					}
 					res, err := RunSpooled(g, c, t.TempDir(), []int64{after})
 					if err != nil {
 						t.Fatal(err)

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/order"
@@ -22,10 +22,11 @@ const EmitSite = "difftest/emit"
 type MapBack func(L, R []int32) ([]int32, []int32, error)
 
 // Run enumerates g under c and returns the canonical digest of the
-// emitted biclique set, with all ids mapped back to g's id space
-// (orderings are applied internally, exactly as the public API does).
-// A run that stops early (deadline, budget, panic) returns an error: a
-// partial digest is not comparable.
+// emitted biclique set, with all ids mapped back to g's id space. Every
+// engine — not only the rooted ones, which honour an ordering themselves
+// — runs on g relabeled into c.Order, so the matrix also checks each
+// competitor against relabeled inputs. A run that stops early (deadline,
+// budget, panic) returns an error: a partial digest is not comparable.
 func Run(g *graph.Bipartite, c Config) (Digest, error) {
 	return RunMapped(g, c, nil)
 }
@@ -34,39 +35,34 @@ func Run(g *graph.Bipartite, c Config) (Digest, error) {
 // biclique before fingerprinting — the hook the metamorphic checks use to
 // compare a transformed graph's enumeration against the original's.
 func RunMapped(g *graph.Bipartite, c Config, mb MapBack) (Digest, error) {
-	perm := order.Permutation(g, c.Order, c.Seed)
-	pg, err := g.PermuteV(perm)
+	pg, perm, err := order.Permute(g, c.Order, c.Seed)
 	if err != nil {
 		return Digest{}, fmt.Errorf("difftest: %s: apply ordering: %w", c, err)
 	}
 
 	var d Digest
 	var mbErr error
-	buf := make([]int32, 0, 64)
-	handler := func(L, R []int32) {
-		// Emission is serialized by the engines (the default contract), so
-		// the shared buffer and digest are safe here.
-		buf = buf[:0]
-		for _, v := range R {
-			buf = append(buf, perm[v])
-		}
-		l, r := L, buf
-		if mb != nil {
-			var merr error
-			if l, r, merr = mb(l, r); merr != nil {
+	// Emission is serialized by the engines (the default contract), so the
+	// digest is safe here.
+	var handler core.Handler = d.Observe
+	if mb != nil {
+		handler = func(L, R []int32) {
+			l, r, merr := mb(L, R)
+			if merr != nil {
 				if mbErr == nil {
 					mbErr = merr
 				}
 				return
 			}
+			d.Observe(l, r)
 		}
-		d.Observe(l, r)
 	}
+	handler = engine.MapBack(handler, perm, false)
 	if c.Fault != nil {
 		handler = injectEmitFault(handler, *c.Fault)
 	}
 
-	res, err := dispatch(pg, c, handler)
+	res, err := c.Engine.Run(pg, core.Options{Tau: c.Tau, Threads: max(c.Threads, 1), OnBiclique: handler})
 	if err != nil {
 		return Digest{}, fmt.Errorf("difftest: %s: %w", c, err)
 	}
@@ -77,34 +73,6 @@ func RunMapped(g *graph.Bipartite, c Config, mb MapBack) (Digest, error) {
 		return Digest{}, fmt.Errorf("difftest: %s: map back: %w", c, mbErr)
 	}
 	return d, nil
-}
-
-// dispatch routes the config to the owning engine package.
-func dispatch(pg *graph.Bipartite, c Config, handler core.Handler) (core.Result, error) {
-	if variant, ok := c.Engine.coreVariant(); ok {
-		threads := 0
-		if c.Engine == EngParAda && c.Threads > 1 {
-			threads = c.Threads
-		}
-		return core.Enumerate(pg, core.Options{
-			Variant:    variant,
-			Tau:        c.Tau,
-			Threads:    threads,
-			OnBiclique: handler,
-		})
-	}
-	alg, ok := c.Engine.baselineAlg()
-	if !ok {
-		return core.Result{}, fmt.Errorf("unknown engine %d", int(c.Engine))
-	}
-	threads := 1
-	if c.Engine.Parallel() {
-		threads = c.Threads
-	}
-	return baselines.Run(pg, alg, baselines.Options{
-		Threads:    threads,
-		OnBiclique: handler,
-	})
 }
 
 // injectEmitFault wraps a handler with a fresh, deterministic injector so

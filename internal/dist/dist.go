@@ -37,9 +37,8 @@ package dist
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/order"
 	"repro/internal/spool"
@@ -51,14 +50,14 @@ import (
 // τ, and the graph's identity. Workers verify their loaded graph against
 // the signature before accepting leases.
 type Spec struct {
-	// Algorithm is the engine name in the public registry's spelling:
-	// AdaMBE, ParAdaMBE, Baseline, AdaMBE-LN, AdaMBE-BIT, or BBK. The
-	// paper competitors do not share the root partition contract and are
-	// rejected.
+	// Algorithm is the engine name in the engine registry's spelling.
+	// Only the rooted engines (engine.RootedNames) share the root
+	// partition contract; the paper competitors are rejected.
 	Algorithm string `json:"algorithm"`
-	// Ordering is the V-side ordering tag (asc|rand|uc|none) with its
-	// seed — the same pair a spool meta records, for the same reason: the
-	// root ids every watermark refers to live in the ordered id space.
+	// Ordering is the V-side ordering tag (asc|rand|uc|none; empty means
+	// none) with its seed — the same pair a spool meta records, for the
+	// same reason: the root ids every watermark refers to live in the
+	// ordered id space.
 	Ordering  string `json:"ordering"`
 	OrderSeed int64  `json:"order_seed"`
 	Tau       int    `json:"tau"`
@@ -96,63 +95,45 @@ func (s Spec) CheckGraph(g *graph.Bipartite) error {
 	return nil
 }
 
-// engineKind distinguishes the two engine families a worker can drive
-// through the durable emission path.
-type engineKind int
-
-const (
-	engineCore engineKind = iota
-	engineBBK
-)
-
-// resolveEngine maps a Spec.Algorithm spelling to its engine family and
-// (for the core family) variant. parallel reports whether the engine may
-// run with Threads > 1.
-func resolveEngine(name string) (kind engineKind, variant core.Variant, parallel bool, err error) {
-	switch {
-	case strings.EqualFold(name, "AdaMBE"):
-		return engineCore, core.Ada, false, nil
-	case strings.EqualFold(name, "ParAdaMBE"):
-		return engineCore, core.Ada, true, nil
-	case strings.EqualFold(name, "Baseline"):
-		return engineCore, core.Baseline, false, nil
-	case strings.EqualFold(name, "AdaMBE-LN"):
-		return engineCore, core.LN, false, nil
-	case strings.EqualFold(name, "AdaMBE-BIT"):
-		return engineCore, core.BIT, false, nil
-	case strings.EqualFold(name, "BBK"):
-		return engineBBK, 0, false, nil
-	}
-	return 0, 0, false, fmt.Errorf("dist: algorithm %q does not support the root partition contract (want AdaMBE|ParAdaMBE|Baseline|AdaMBE-LN|AdaMBE-BIT|BBK)", name)
-}
-
-// resolveOrdering maps a Spec.Ordering tag to the order package's Kind.
-// ok is false for "none" (identity: no permutation is applied).
-func resolveOrdering(tag string) (order.Kind, bool, error) {
-	if tag == "" || tag == "none" {
-		return 0, false, nil
-	}
-	k, err := order.ParseKind(tag)
-	if err != nil {
-		return 0, false, fmt.Errorf("dist: %w", err)
-	}
-	return k, true, nil
-}
-
 // Validate checks the spec's engine and ordering spellings and its graph
 // identity fields, so misconfiguration fails at coordinator start, not
 // at the first lease.
 func (s Spec) Validate() error {
-	if _, _, _, err := resolveEngine(s.Algorithm); err != nil {
+	if _, err := s.engineID(); err != nil {
 		return err
 	}
-	if _, _, err := resolveOrdering(s.Ordering); err != nil {
+	if _, err := s.orderKind(); err != nil {
 		return err
 	}
 	if s.NV <= 0 || s.NU <= 0 || s.GraphHash == "" {
 		return fmt.Errorf("dist: spec is missing its graph identity (nu=%d nv=%d hash=%q); build it with WithGraph", s.NU, s.NV, s.GraphHash)
 	}
 	return nil
+}
+
+// engineID resolves the spec's engine, which must be rooted: only the root
+// partition contract makes disjoint root ranges shard the output.
+func (s Spec) engineID() (engine.ID, error) {
+	id, err := engine.Parse(s.Algorithm)
+	if err == nil {
+		err = id.CheckRooted()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("dist: %w", err)
+	}
+	return id, nil
+}
+
+// orderKind resolves the spec's ordering tag; empty means none.
+func (s Spec) orderKind() (order.Kind, error) {
+	if s.Ordering == "" {
+		return order.None, nil
+	}
+	k, err := order.ParseKind(s.Ordering)
+	if err != nil {
+		return 0, fmt.Errorf("dist: %w", err)
+	}
+	return k, nil
 }
 
 // RootRange is one contiguous shard [Start, End) of the root space.

@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/difftest"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -14,24 +14,14 @@ import (
 // engine and digests its output. Ordering is identity throughout this
 // file so every digest lives in the same id space as the brute-force
 // oracle's.
-func shardDigest(t *testing.T, g *graph.Bipartite, engine string, start, end int32) difftest.Digest {
+func shardDigest(t *testing.T, g *graph.Bipartite, name string, start, end int32) difftest.Digest {
 	t.Helper()
-	var d difftest.Digest
-	var err error
-	if engine == "BBK" {
-		_, err = baselines.Run(g, baselines.BBK, baselines.Options{
-			OnBiclique: d.Observe, StartRoot: start, EndRoot: end,
-		})
-	} else {
-		kind, variant, _, rerr := resolveEngine(engine)
-		if rerr != nil || kind != engineCore {
-			t.Fatalf("engine %q: %v", engine, rerr)
-		}
-		_, err = core.Enumerate(g, core.Options{
-			Variant: variant, OnBiclique: d.Observe, StartRoot: start, EndRoot: end,
-		})
-	}
+	id, err := engine.Parse(name)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var d difftest.Digest
+	if _, err := id.Run(g, core.Options{OnBiclique: d.Observe, StartRoot: start, EndRoot: end}); err != nil {
 		t.Fatal(err)
 	}
 	return d

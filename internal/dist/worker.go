@@ -13,11 +13,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/difftest"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/order"
 	"repro/internal/server"
@@ -59,9 +59,7 @@ type Worker struct {
 
 	// Resolved once per process from the config.
 	cfg     Config
-	kind    engineKind
-	variant core.Variant
-	par     bool
+	eng     engine.ID
 	ordered *graph.Bipartite // graph with the spec's V ordering applied
 	perm    []int32          // ordered V id -> original V id; nil for none
 }
@@ -163,11 +161,9 @@ func (w *Worker) bootstrap(ctx context.Context) error {
 	}
 	w.cfg = cfg
 
-	kind, variant, par, err := resolveEngine(cfg.Spec.Algorithm)
-	if err != nil {
+	if w.eng, err = cfg.Spec.engineID(); err != nil {
 		return err
 	}
-	w.kind, w.variant, w.par = kind, variant, par
 
 	g := w.opts.Graph
 	if g == nil {
@@ -179,18 +175,12 @@ func (w *Worker) bootstrap(ctx context.Context) error {
 		return err
 	}
 
-	ok, usePerm, err := resolveOrdering(cfg.Spec.Ordering)
+	k, err := cfg.Spec.orderKind()
 	if err != nil {
 		return err
 	}
-	w.ordered, w.perm = g, nil
-	if usePerm {
-		perm := order.Permutation(g, ok, cfg.Spec.OrderSeed)
-		og, err := g.PermuteV(perm)
-		if err != nil {
-			return fmt.Errorf("dist: ordering: %w", err)
-		}
-		w.ordered, w.perm = og, perm
+	if w.ordered, w.perm, err = order.Permute(g, k, cfg.Spec.OrderSeed); err != nil {
+		return fmt.Errorf("dist: ordering: %w", err)
 	}
 	w.log.Info("dist_worker_ready", "worker", w.opts.ID, "algorithm", cfg.Spec.Algorithm,
 		"ordering", cfg.Spec.Ordering, "nv", cfg.Spec.NV, "ranges", cfg.Ranges)
@@ -291,11 +281,8 @@ func (w *Worker) runRange(ctx context.Context, lease Lease) error {
 		return nil
 	}
 
-	workers := w.opts.Threads
-	if !w.par || workers < 1 {
-		workers = 1
-	}
-	sink := newRangeSink(w.perm, lease.Resume, lease.End, workers)
+	threads := max(w.opts.Threads, 1)
+	sink := newRangeSink(w.perm, lease.Resume, lease.End, w.eng.Width(threads))
 	frontier := ckpt.NewFrontier(lease.Resume, lease.End)
 
 	st, err := w.openStream(rctx, cancel, lease)
@@ -335,7 +322,16 @@ func (w *Worker) runRange(ctx context.Context, lease Lease) error {
 		}
 	}()
 
-	res, runErr := w.enumerate(rctx, lease, sink, frontier)
+	res, runErr := w.eng.Run(w.ordered, core.Options{
+		Tau:       w.cfg.Spec.Tau,
+		Threads:   threads,
+		Context:   rctx,
+		FaultHook: w.opts.FaultHook,
+		Sink:      sink,
+		Frontier:  frontier,
+		StartRoot: lease.Resume,
+		EndRoot:   lease.End,
+	})
 	close(stopFlush)
 	<-flushDone
 
@@ -406,37 +402,6 @@ func (w *Worker) flushWatermark(st *stream, sink *rangeSink, frontier *ckpt.Fron
 		prog.lastFrame = time.Now()
 	}
 	return nil
-}
-
-// enumerate runs the spec's engine over [lease.Resume, lease.End).
-func (w *Worker) enumerate(ctx context.Context, lease Lease, sink *rangeSink, frontier *ckpt.Frontier) (core.Result, error) {
-	switch w.kind {
-	case engineBBK:
-		return baselines.Run(w.ordered, baselines.BBK, baselines.Options{
-			Context:   ctx,
-			FaultHook: w.opts.FaultHook,
-			Sink:      sink,
-			Frontier:  frontier,
-			StartRoot: lease.Resume,
-			EndRoot:   lease.End,
-		})
-	default:
-		threads := 0
-		if w.par && w.opts.Threads > 1 {
-			threads = w.opts.Threads
-		}
-		return core.Enumerate(w.ordered, core.Options{
-			Variant:   w.variant,
-			Tau:       w.cfg.Spec.Tau,
-			Threads:   threads,
-			Context:   ctx,
-			FaultHook: w.opts.FaultHook,
-			Sink:      sink,
-			Frontier:  frontier,
-			StartRoot: lease.Resume,
-			EndRoot:   lease.End,
-		})
-	}
 }
 
 // stream is one NDJSON frame stream over a chunked HTTP POST. Frames

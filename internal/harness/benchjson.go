@@ -8,9 +8,9 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/order"
@@ -151,43 +151,10 @@ func BenchParallel(cfg Config, outPath string) error {
 		Runs:       []BenchRun{},
 	}
 
-	// measureBBK records the serial BBK row: same wall/allocation columns
-	// as the core rows (scheduler counters stay zero — BBK is serial), so
-	// the trajectory tracks the pivot engine's perf alongside AdaMBE's.
-	measureBBK := func(dataset string, g *graph.Bipartite) (BenchRun, error) {
-		deadline := time.Now().Add(cfg.tle())
-		var msBefore, msAfter runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		start := time.Now()
-		res, err := baselines.Run(g, baselines.BBK, baselines.Options{
-			Deadline: deadline,
-			Context:  cfg.ctx(),
-		})
-		wall := time.Since(start)
-		runtime.ReadMemStats(&msAfter)
-		if err != nil {
-			return BenchRun{}, fmt.Errorf("harness: %s on %s: %w", AlgoBBK, dataset, err)
-		}
-		if res.StopReason != core.StopNone {
-			return BenchRun{}, fmt.Errorf("harness: %s on %s stopped early (%v); raise -tle for a comparable trajectory",
-				AlgoBBK, dataset, res.StopReason)
-		}
-		run := BenchRun{
-			Dataset:    dataset,
-			Algorithm:  AlgoBBK,
-			Threads:    1,
-			WallMS:     float64(wall.Microseconds()) / 1e3,
-			Count:      res.Count,
-			Allocs:     int64(msAfter.Mallocs - msBefore.Mallocs),
-			AllocBytes: int64(msAfter.TotalAlloc - msBefore.TotalAlloc),
-		}
-		if res.Count > 0 {
-			run.AllocsPerBiclique = float64(run.Allocs) / float64(res.Count)
-		}
-		return run, nil
-	}
-
-	measure := func(dataset string, g *graph.Bipartite, algo string, threads int) (BenchRun, error) {
+	// measure times one engine on g, which is already in ASC order. The
+	// serial AdaMBE and BBK rows have zero scheduler counters.
+	measure := func(dataset string, g *graph.Bipartite, id engine.ID, threads int) (BenchRun, error) {
+		algo := id.String()
 		var m core.Metrics
 		var rec *obs.Recorder
 		if cfg.LiveObs {
@@ -204,8 +171,7 @@ func BenchParallel(cfg Config, outPath string) error {
 		var msBefore, msAfter runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
 		start := time.Now()
-		res, err := core.Enumerate(g, core.Options{
-			Variant:  core.Ada,
+		res, err := id.Run(g, core.Options{
 			Threads:  threads,
 			Deadline: deadline,
 			Context:  cfg.ctx(),
@@ -241,8 +207,8 @@ func BenchParallel(cfg Config, outPath string) error {
 	}
 
 	// measureSpooled repeats the widest ParAdaMBE run with the durable
-	// spool attached (internal/spool + internal/ckpt, exactly the `mbe
-	// -out` path) and records what the spool absorbed: bytes, frames,
+	// spool attached (the engine registry's spool session, exactly the
+	// `mbe -out` path) and records what the spool absorbed: bytes, frames,
 	// MB/s, frames/s, and the wall-time overhead vs the unspooled run.
 	measureSpooled := func(dataset string, g *graph.Bipartite, threads int, baseMS float64, wantCount int64) (BenchRun, error) {
 		tmp, err := os.MkdirTemp("", "mbebench-spool-")
@@ -250,37 +216,18 @@ func BenchParallel(cfg Config, outPath string) error {
 			return BenchRun{}, err
 		}
 		defer os.RemoveAll(tmp)
-		sess, err := ckpt.Open(ckpt.OpenOptions{
-			Dir: filepath.Join(tmp, "spool"),
-			Meta: spool.Meta{
-				Version: 1, Tool: "mbebench", Algorithm: AlgoParAdaMBE, Ordering: "asc",
-				Shards: threads, NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(),
-				GraphHash: spool.GraphSignature(g),
-			},
-		})
-		if err != nil {
-			return BenchRun{}, fmt.Errorf("harness: spooled %s: %w", dataset, err)
-		}
-		sess.Start()
+		dir := filepath.Join(tmp, "spool")
 		start := time.Now()
-		res, err := core.Enumerate(g, core.Options{
-			Variant:   core.Ada,
-			Threads:   threads,
-			Deadline:  time.Now().Add(cfg.tle()),
-			Context:   cfg.ctx(),
-			Sink:      sess.Sink(nil, threads),
-			Frontier:  sess.Frontier(),
-			StartRoot: sess.StartRoot(),
-		})
+		res, err := engine.ParAdaMBE.Enumerate(g, order.None, 0, core.Options{
+			Threads:  threads,
+			Deadline: time.Now().Add(cfg.tle()),
+			Context:  cfg.ctx(),
+		}, &ckpt.OpenOptions{Dir: dir, Meta: spool.Meta{Tool: "mbebench"}})
 		wall := time.Since(start)
-		complete := err == nil && res.StopReason == core.StopNone
-		if ferr := sess.Finish(complete); ferr != nil && err == nil {
-			err = ferr
-		}
 		if err != nil {
 			return BenchRun{}, fmt.Errorf("harness: spooled %s (t=%d): %w", dataset, threads, err)
 		}
-		if !complete {
+		if res.StopReason != core.StopNone {
 			return BenchRun{}, fmt.Errorf("harness: spooled %s (t=%d) stopped early (%v); raise -tle for a comparable trajectory",
 				dataset, threads, res.StopReason)
 		}
@@ -288,15 +235,21 @@ func BenchParallel(cfg Config, outPath string) error {
 			return BenchRun{}, fmt.Errorf("harness: spooled %s (t=%d) counted %d, serial %d — durable-emission correctness regression",
 				dataset, threads, res.Count, wantCount)
 		}
-		st := sess.Stats()
+		states, err := spool.Verify(dir)
+		if err != nil {
+			return BenchRun{}, fmt.Errorf("harness: spooled %s (t=%d): %w", dataset, threads, err)
+		}
 		run := BenchRun{
 			Dataset: dataset, Algorithm: AlgoParAdaMBE, Threads: threads,
-			WallMS: float64(wall.Microseconds()) / 1e3, Count: res.Count,
-			Spooled: true, SpoolBytes: st.Bytes, SpoolFrames: st.Frames,
+			WallMS: float64(wall.Microseconds()) / 1e3, Count: res.Count, Spooled: true,
+		}
+		for _, st := range states {
+			run.SpoolBytes += st.ValidBytes
+			run.SpoolFrames += st.Frames
 		}
 		if sec := wall.Seconds(); sec > 0 {
-			run.SpoolMBPerSec = float64(st.Bytes) / 1e6 / sec
-			run.SpoolFramesPerSec = float64(st.Frames) / sec
+			run.SpoolMBPerSec = float64(run.SpoolBytes) / 1e6 / sec
+			run.SpoolFramesPerSec = float64(run.SpoolFrames) / sec
 		}
 		if baseMS > 0 {
 			run.SpoolOverheadPct = (run.WallMS - baseMS) / baseMS * 100
@@ -310,7 +263,7 @@ func BenchParallel(cfg Config, outPath string) error {
 		}
 		g := order.Apply(spec.Build(), order.DegreeAscending, 0)
 
-		serial, err := measure(spec.Acronym, g, AlgoAdaMBE, 1)
+		serial, err := measure(spec.Acronym, g, engine.AdaMBE, 1)
 		if err != nil {
 			return err
 		}
@@ -318,7 +271,7 @@ func BenchParallel(cfg Config, outPath string) error {
 		fmt.Fprintf(out, "%-6s %-10s t=%d  %8.1fms  count=%d\n",
 			spec.Acronym, serial.Algorithm, serial.Threads, serial.WallMS, serial.Count)
 
-		bbk, err := measureBBK(spec.Acronym, g)
+		bbk, err := measure(spec.Acronym, g, engine.BBK, 1)
 		if err != nil {
 			return err
 		}
@@ -332,7 +285,7 @@ func BenchParallel(cfg Config, outPath string) error {
 
 		widestMS := serial.WallMS
 		for _, t := range benchThreadSweep {
-			run, err := measure(spec.Acronym, g, AlgoParAdaMBE, t)
+			run, err := measure(spec.Acronym, g, engine.ParAdaMBE, t)
 			if err != nil {
 				return err
 			}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/order"
 )
@@ -350,8 +351,7 @@ func Fig12(cfg Config) error {
 		for _, k := range kinds {
 			deadline := time.Now().Add(cfg.tle())
 			start := time.Now()
-			og := order.Apply(g, k, 7)
-			res, err := core.Enumerate(og, core.Options{Variant: core.Ada, Deadline: deadline, Context: cfg.ctx()})
+			res, err := engine.AdaMBE.Enumerate(g, k, 7, core.Options{Deadline: deadline, Context: cfg.ctx()}, nil)
 			if err != nil {
 				return err
 			}

@@ -19,9 +19,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/order"
 )
@@ -142,10 +142,8 @@ type RunResult struct {
 	PeakHeap   uint64 // bytes, sampled
 }
 
-// AlgoNames used across experiments. AdaMBE family applies the ASC
-// ordering internally (its default per Algorithm 2); the competitors run
-// with their own papers' default configurations (ooMBEA computes its UC
-// order itself).
+// AlgoNames used across experiments: engine registry spellings
+// (internal/engine), as RunAlgorithm takes them.
 const (
 	AlgoBaseline  = "Baseline"
 	AlgoLN        = "AdaMBE-LN"
@@ -165,50 +163,25 @@ func SerialAlgos() []string   { return []string{AlgoFMBE, AlgoPMBE, AlgoOOMBEA, 
 func ParallelAlgos() []string { return []string{AlgoParMBE, AlgoGMBE, AlgoParAdaMBE} }
 
 // RunAlgorithm executes one named algorithm on g with the given budget and
-// metrics hook (metrics only applies to the core variants), measuring peak
-// heap. The elapsed time includes any ordering the algorithm performs,
-// matching the paper's protocol (loading excluded, ordering included).
+// metrics hook (filled by the AdaMBE family and BBK), measuring peak heap.
+// The rooted engines run under the ASC ordering (the AdaMBE family's
+// default per Algorithm 2); the competitors run with their own papers'
+// default configurations (ooMBEA computes its UC order itself). The
+// elapsed time includes any ordering the algorithm performs, matching the
+// paper's protocol (loading excluded, ordering included).
 func RunAlgorithm(g *graph.Bipartite, algo string, cfg Config, metrics *core.Metrics) (RunResult, error) {
+	id, err := engine.Parse(algo)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("harness: %w", err)
+	}
 	deadline := time.Now().Add(cfg.tle())
 	stop, peak := startHeapSampler()
 	defer stop()
 
 	start := time.Now()
-	var res core.Result
-	var err error
-	switch algo {
-	case AlgoBaseline, AlgoLN, AlgoBIT, AlgoAdaMBE, AlgoParAdaMBE:
-		variant := map[string]core.Variant{
-			AlgoBaseline: core.Baseline, AlgoLN: core.LN,
-			AlgoBIT: core.BIT, AlgoAdaMBE: core.Ada, AlgoParAdaMBE: core.Ada,
-		}[algo]
-		og := order.Apply(g, order.DegreeAscending, 0)
-		threads := 0
-		if algo == AlgoParAdaMBE {
-			threads = cfg.threads()
-		}
-		res, err = core.Enumerate(og, core.Options{
-			Variant: variant, Threads: threads, Deadline: deadline,
-			Context: cfg.ctx(), Metrics: metrics,
-		})
-	case AlgoFMBE:
-		res, err = baselines.Run(g, baselines.FMBE, baselines.Options{Deadline: deadline, Context: cfg.ctx()})
-	case AlgoPMBE:
-		res, err = baselines.Run(g, baselines.PMBE, baselines.Options{Deadline: deadline, Context: cfg.ctx()})
-	case AlgoOOMBEA:
-		res, err = baselines.Run(g, baselines.OOMBEA, baselines.Options{Deadline: deadline, Context: cfg.ctx()})
-	case AlgoParMBE:
-		res, err = baselines.Run(g, baselines.ParMBE, baselines.Options{Deadline: deadline, Context: cfg.ctx(), Threads: cfg.threads()})
-	case AlgoGMBE:
-		res, err = baselines.Run(g, baselines.GMBE, baselines.Options{Deadline: deadline, Context: cfg.ctx(), Threads: cfg.threads()})
-	case AlgoBBK:
-		// BBK pins its root decomposition to the V ordering like the
-		// AdaMBE family, so it gets the same ASC permutation.
-		og := order.Apply(g, order.DegreeAscending, 0)
-		res, err = baselines.Run(og, baselines.BBK, baselines.Options{Deadline: deadline, Context: cfg.ctx(), Metrics: metrics})
-	default:
-		return RunResult{}, fmt.Errorf("harness: unknown algorithm %q", algo)
-	}
+	res, err := id.Enumerate(g, order.DegreeAscending, 0, core.Options{
+		Threads: cfg.threads(), Deadline: deadline, Context: cfg.ctx(), Metrics: metrics,
+	}, nil)
 	elapsed := time.Since(start)
 	if err != nil {
 		return RunResult{}, err

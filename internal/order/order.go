@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -27,33 +28,49 @@ const (
 	// one-mode projection of V, which is the "additional overhead" the
 	// paper attributes to this scheme.
 	UnilateralCore
+	// None keeps the input order: Permute applies no permutation.
+	None
 )
+
+// names is the one table of ordering spellings: the paper's figure
+// label, which Kind.String and .repro files use. Its lowercase form is
+// the tag that CLI flags, job.json, dist specs and spool.json store.
+var names = [...]string{DegreeAscending: "ASC", Random: "RAND", UnilateralCore: "UC", None: "NONE"}
+
+func (k Kind) valid() bool { return k >= 0 && int(k) < len(names) }
 
 // String returns the name used in the paper's figures.
 func (k Kind) String() string {
-	switch k {
-	case DegreeAscending:
-		return "ASC"
-	case Random:
-		return "RAND"
-	case UnilateralCore:
-		return "UC"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return names[k]
 }
 
-// ParseKind maps a name ("asc", "rand", "uc") to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "asc", "ASC", "increasing":
-		return DegreeAscending, nil
-	case "rand", "RAND", "random":
-		return Random, nil
-	case "uc", "UC", "unilateral":
-		return UnilateralCore, nil
+// Tag returns the lowercase spelling that flags and on-disk formats use.
+func (k Kind) Tag() string { return strings.ToLower(k.String()) }
+
+// Tags lists every ordering's tag in Kind order.
+func Tags() []string {
+	tags := make([]string, len(names))
+	for i, n := range names {
+		tags[i] = strings.ToLower(n)
 	}
-	return 0, fmt.Errorf("order: unknown ordering %q (want asc|rand|uc)", s)
+	return tags
+}
+
+// ParseKind maps an ordering spelling, in any case, to its Kind; the
+// empty string is the default, DegreeAscending.
+func ParseKind(s string) (Kind, error) {
+	if s == "" {
+		return DegreeAscending, nil
+	}
+	for k, n := range names {
+		if strings.EqualFold(s, n) {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("order: unknown ordering %q (want %s)", s, strings.Join(Tags(), "|"))
 }
 
 // Permutation returns a permutation p of V such that processing new id i =
@@ -78,20 +95,40 @@ func Permutation(g *graph.Bipartite, k Kind, seed int64) []int32 {
 		sort.SliceStable(perm, func(i, j int) bool {
 			return core[perm[i]] < core[perm[j]]
 		})
+	case None:
 	default:
 		panic(fmt.Sprintf("order: unknown Kind %d", int(k)))
 	}
 	return perm
 }
 
-// Apply returns g with its V side relabeled into the given order.
-func Apply(g *graph.Bipartite, k Kind, seed int64) *graph.Bipartite {
-	ng, err := g.PermuteV(Permutation(g, k, seed))
-	if err != nil {
-		// Permutation always returns a valid permutation of g's V side.
-		panic(fmt.Sprintf("order: internal error: %v", err))
+// Permute returns g with its V side relabeled into ordering k and the
+// permutation used (new id -> old id). None returns g itself and a nil
+// permutation, so callers skip mapping ids back. An unknown k is an
+// error.
+func Permute(g *graph.Bipartite, k Kind, seed int64) (*graph.Bipartite, []int32, error) {
+	switch {
+	case !k.valid():
+		return nil, nil, fmt.Errorf("order: unknown ordering %d", int(k))
+	case k == None:
+		return g, nil, nil
 	}
-	return ng
+	perm := Permutation(g, k, seed)
+	pg, err := g.PermuteV(perm)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pg, perm, nil
+}
+
+// Apply returns g with its V side relabeled into ordering k, which must
+// be a known Kind; Permute is the checked form.
+func Apply(g *graph.Bipartite, k Kind, seed int64) *graph.Bipartite {
+	pg, _, err := Permute(g, k, seed)
+	if err != nil {
+		panic(err.Error())
+	}
+	return pg
 }
 
 // projectionBudget caps the one-mode projection size (in adjacency entries)

@@ -63,6 +63,14 @@ func TestSaturationShedsButReadsSurvive(t *testing.T) {
 	if resp1.StatusCode != http.StatusAccepted || resp2.StatusCode != http.StatusAccepted {
 		t.Fatalf("fills: %d, %d", resp1.StatusCode, resp2.StatusCode)
 	}
+	// The work is in flight once the first attempt publishes its run;
+	// until then /debug/progress rightly answers 404 (no active run).
+	for deadline := time.Now().Add(30 * time.Second); d.do("GET", "/debug/progress", nil, nil).StatusCode != http.StatusOK; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first job's run was never published")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	expectShed(t, d, server.JobSpec{GraphID: id, Threads: 1, Ordering: "rand", Seed: 3}, "queue full")
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	mbe "repro"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -45,10 +46,10 @@ type JobSpec struct {
 	// GraphID names a graph previously stored via POST /v1/graphs (or
 	// the dataset shortcut there).
 	GraphID string `json:"graph_id"`
-	// Algorithm is a mbe.ParseAlgorithm spelling. The AdaMBE family
-	// and BBK are accepted: daemon jobs stream to a durable spool,
-	// which the competitor engines do not support. Empty means AdaMBE,
-	// or ParAdaMBE when the resolved thread count exceeds 1.
+	// Algorithm is a mbe.ParseAlgorithm spelling of a rooted engine
+	// (engine.RootedNames): daemon jobs stream to a durable spool, which
+	// the paper competitors do not support. Empty means AdaMBE, or
+	// ParAdaMBE when the resolved thread count exceeds 1.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Ordering is a mbe.ParseOrdering spelling; Seed feeds "rand".
 	Ordering string `json:"ordering,omitempty"`
@@ -77,10 +78,8 @@ func (s JobSpec) Validate() error {
 	if err != nil {
 		return err
 	}
-	switch a {
-	case mbe.AdaMBE, mbe.ParAdaMBE, mbe.BaselineMBE, mbe.AdaMBELN, mbe.AdaMBEBIT, mbe.BBK:
-	default:
-		return fmt.Errorf("algorithm %s does not support durable spooling; daemon jobs accept the AdaMBE family and BBK", a)
+	if err := engine.ID(a).CheckRooted(); err != nil {
+		return err
 	}
 	if _, err := mbe.ParseOrdering(s.Ordering); err != nil {
 		return err

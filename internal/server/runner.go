@@ -296,6 +296,11 @@ func (s *Server) complete(j *job, elapsed time.Duration) {
 		s.finalize(j)
 		return
 	}
+	// Count the completion and release the admission charge before the
+	// job reads as done: a client that saw "done" must not scrape metrics
+	// that still count the job as active.
+	s.finalize(j)
+	s.met.jobsCompleted.With(string(JobDone)).Inc()
 	j.mu.Lock()
 	j.m.State = JobDone
 	j.m.Error = ""
@@ -311,8 +316,6 @@ func (s *Server) complete(j *job, elapsed time.Duration) {
 	s.cacheMu.Lock()
 	s.cache[m.CacheKey] = m.ID
 	s.cacheMu.Unlock()
-	s.finalize(j)
-	s.met.jobsCompleted.With(string(JobDone)).Inc()
 	s.log.Info("job_done",
 		"trace_id", m.TraceID, "job_id", m.ID, "bicliques", d.Count,
 		"attempts", m.Attempts, "elapsed_ms", m.Result.ElapsedMS,

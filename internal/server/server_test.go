@@ -208,7 +208,8 @@ func TestServerRoundTrip(t *testing.T) {
 // TestServerBBKJob runs a daemon job under the BBK engine, submitted in
 // the JSON convention's lowercase spelling, and requires the spooled
 // result to match a direct in-memory enumeration digest — the end-to-end
-// proof that BBK supports the durable-spool lifecycle the daemon needs.
+// proof that BBK supports the durable-spool lifecycle the daemon needs —
+// and its spool output to be counted in the daemon's metrics.
 func TestServerBBKJob(t *testing.T) {
 	d := startDaemon(t, server.Config{})
 	g := smallGraph()
@@ -226,6 +227,9 @@ func TestServerBBKJob(t *testing.T) {
 	if m.Result.Count != want.Count || m.Result.Digest != want.String() {
 		t.Errorf("bbk daemon digest %s (count %d), direct run %s (count %d)",
 			m.Result.Digest, m.Result.Count, want.String(), want.Count)
+	}
+	if got := d.scrapeMetrics()["mbed_spool_bytes_total"]; got <= 0 {
+		t.Errorf("mbed_spool_bytes_total = %v after a bbk job, want > 0", got)
 	}
 }
 

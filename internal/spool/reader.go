@@ -24,6 +24,9 @@ func LoadMeta(dir string) (Meta, error) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return m, fmt.Errorf("spool: %s: %w", MetaFile, err)
 	}
+	if m.Version != Version {
+		return m, fmt.Errorf("spool: %s: format version %d, this build reads version %d", MetaFile, m.Version, Version)
+	}
 	if m.Shards < 1 {
 		return m, fmt.Errorf("spool: %s: shards = %d", MetaFile, m.Shards)
 	}

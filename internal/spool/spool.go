@@ -54,6 +54,11 @@ const (
 	// loses little and checkpoint flushes stay cheap.
 	DefaultFrameBytes = 128 << 10
 
+	// Version is the spool format version: Create stamps it into every
+	// spool.json and LoadMeta refuses any other, so a spool written by an
+	// incompatible build is never replayed, verified or resumed.
+	Version = 1
+
 	// MetaFile and CheckpointFile are the well-known names inside a
 	// spool directory. CheckpointFile is owned by internal/ckpt; it is
 	// named here so the two packages agree.
@@ -121,6 +126,7 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 // a resume — they alter the traversal strategy, not which biclique
 // belongs to which root subtree).
 type Meta struct {
+	// Version is stamped by Create; callers leave it zero.
 	Version   int    `json:"version"`
 	Tool      string `json:"tool,omitempty"`
 	Algorithm string `json:"algorithm"`
@@ -142,11 +148,10 @@ type Meta struct {
 }
 
 // CompatibleResume reports whether a run described by want may append to
-// a spool created with have, with a reason when it may not.
+// a spool created with have, with a reason when it may not. The format
+// version is not compared here: LoadMeta already refused any other.
 func CompatibleResume(have, want Meta) error {
 	switch {
-	case have.Version != want.Version:
-		return fmt.Errorf("spool: version mismatch: spool v%d, run v%d", have.Version, want.Version)
 	case have.NU != want.NU || have.NV != want.NV || have.Edges != want.Edges || have.GraphHash != want.GraphHash:
 		return fmt.Errorf("spool: graph mismatch: spool %dx%d/%d (%s), run %dx%d/%d (%s)",
 			have.NU, have.NV, have.Edges, have.GraphHash, want.NU, want.NV, want.Edges, want.GraphHash)

@@ -425,7 +425,6 @@ func TestCompatibleResume(t *testing.T) {
 		t.Errorf("algorithm/τ/shards changes must be resumable: %v", err)
 	}
 	for name, mut := range map[string]func(*Meta){
-		"version":  func(m *Meta) { m.Version++ },
 		"graph":    func(m *Meta) { m.GraphHash = "different" },
 		"edges":    func(m *Meta) { m.Edges++ },
 		"ordering": func(m *Meta) { m.Ordering = "rand" },

@@ -80,9 +80,9 @@ type shardWriter struct {
 	flateBuf     bytes.Buffer
 }
 
-// Create initializes a fresh spool directory: writes the meta file and
-// creates meta.Shards empty shard files. It refuses to reuse a
-// directory that already holds a spool.
+// Create initializes a fresh spool directory: writes the meta file,
+// stamped with Version, and creates meta.Shards empty shard files. It
+// refuses to reuse a directory that already holds a spool.
 func Create(dir string, meta Meta, opts WriterOptions) (*Writer, error) {
 	if meta.Shards < 1 {
 		return nil, fmt.Errorf("spool: meta.Shards = %d, want >= 1", meta.Shards)
@@ -94,6 +94,7 @@ func Create(dir string, meta Meta, opts WriterOptions) (*Writer, error) {
 	if _, err := os.Stat(metaPath); err == nil {
 		return nil, fmt.Errorf("spool: %s already holds a spool (resume instead of creating)", dir)
 	}
+	meta.Version = Version
 	blob, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return nil, err

@@ -27,13 +27,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"strings"
 	"time"
 
-	"repro/internal/baselines"
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -161,134 +160,83 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return &Graph{b}, nil
 }
 
-// Algorithm selects the enumeration algorithm.
+// Algorithm selects the enumeration algorithm. Its values are the
+// entries of the engine registry (internal/engine), which owns every
+// algorithm's spellings and capabilities.
 type Algorithm int
 
 const (
 	// AdaMBE is the paper's serial algorithm (Algorithm 2): local
 	// neighborhoods + adaptive bitmaps. The default.
-	AdaMBE Algorithm = iota
+	AdaMBE = Algorithm(engine.AdaMBE)
 	// ParAdaMBE is the shared-memory parallel AdaMBE.
-	ParAdaMBE
+	ParAdaMBE = Algorithm(engine.ParAdaMBE)
 	// BaselineMBE is Algorithm 1 without LN or BIT (for ablations).
-	BaselineMBE
+	BaselineMBE = Algorithm(engine.Baseline)
 	// AdaMBELN enables only the local-neighborhood technique.
-	AdaMBELN
+	AdaMBELN = Algorithm(engine.AdaMBELN)
 	// AdaMBEBIT enables only the bitmap technique.
-	AdaMBEBIT
+	AdaMBEBIT = Algorithm(engine.AdaMBEBIT)
+	// BBK is the pivot-based bipartite Bron–Kerbosch of Baudin et al.
+	// (arXiv:2405.04428), a post-paper serial engine. Unlike the paper
+	// competitors it is a rooted engine: it honors Ordering, root ranges
+	// and the durable spool (SpoolDir/Resume).
+	BBK = Algorithm(engine.BBK)
 	// FMBE, PMBE, OOMBEA are the serial competitors; ParMBE and GMBESim
 	// the parallel ones (GMBESim is the CPU simulation of the GPU
 	// algorithm GMBE).
-	FMBE
-	PMBE
-	OOMBEA
-	ParMBE
-	GMBESim
-	// BBK is the pivot-based bipartite Bron–Kerbosch of Baudin et al.
-	// (arXiv:2405.04428), a post-paper serial engine. Unlike the paper
-	// competitors it honors Ordering and supports the durable spool
-	// (SpoolDir/Resume).
-	BBK
+	FMBE    = Algorithm(engine.FMBE)
+	PMBE    = Algorithm(engine.PMBE)
+	OOMBEA  = Algorithm(engine.OOMBEA)
+	ParMBE  = Algorithm(engine.ParMBE)
+	GMBESim = Algorithm(engine.GMBE)
 )
 
-// algorithmTable is the single source of truth for every Algorithm's
-// spellings: String, AlgorithmNames and ParseAlgorithm all derive from
-// it, so the CLI/daemon help and the "want a|b|…" error can never drift
-// from the enum (TestAlgorithmTableDrift pins this). Menu order: the
-// AdaMBE family in the paper's ablation order, then every other engine
-// sorted case-insensitively by name. name is the canonical CLI/API
-// spelling; display, when non-empty, is the distinct String() form.
-var algorithmTable = []struct {
-	alg     Algorithm
-	name    string
-	display string
-}{
-	{alg: AdaMBE, name: "AdaMBE"},
-	{alg: ParAdaMBE, name: "ParAdaMBE"},
-	{alg: BaselineMBE, name: "Baseline"},
-	{alg: AdaMBELN, name: "AdaMBE-LN"},
-	{alg: AdaMBEBIT, name: "AdaMBE-BIT"},
-	{alg: BBK, name: "BBK"},
-	{alg: FMBE, name: "FMBE"},
-	{alg: GMBESim, name: "GMBE", display: "GMBE-sim"},
-	{alg: OOMBEA, name: "ooMBEA"},
-	{alg: ParMBE, name: "ParMBE"},
-	{alg: PMBE, name: "PMBE"},
-}
-
 // String returns the algorithm's name as used in the paper.
-func (a Algorithm) String() string {
-	for _, e := range algorithmTable {
-		if e.alg == a {
-			if e.display != "" {
-				return e.display
-			}
-			return e.name
-		}
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
+func (a Algorithm) String() string { return engine.ID(a).String() }
 
 // AlgorithmNames lists the CLI/API spellings accepted by ParseAlgorithm,
 // in menu order: the AdaMBE family first, then the remaining engines
-// sorted case-insensitively. Derived from the same table as String and
-// ParseAlgorithm.
-var AlgorithmNames = func() []string {
-	names := make([]string, len(algorithmTable))
-	for i, e := range algorithmTable {
-		names[i] = e.name
-	}
-	return names
-}()
+// sorted case-insensitively.
+var AlgorithmNames = engine.Names()
 
 // ParseAlgorithm maps a CLI/API algorithm name to its Algorithm,
-// case-insensitively ("bbk" and "BBK" both work, as do display forms
-// like "GMBE-sim"); the empty string is the default, AdaMBE. It is the
-// shared flag plumbing of cmd/mbe and cmd/mbed, so a job submitted to
-// the daemon accepts exactly the spellings the CLI does.
+// case-insensitively ("bbk" and "BBK" both work, as do paper forms like
+// "GMBE-sim"); the empty string is the default, AdaMBE. It is the shared
+// flag plumbing of cmd/mbe and cmd/mbed, so a job submitted to the
+// daemon accepts exactly the spellings the CLI does.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	if name == "" {
 		return AdaMBE, nil
 	}
-	for _, e := range algorithmTable {
-		if strings.EqualFold(name, e.name) || (e.display != "" && strings.EqualFold(name, e.display)) {
-			return e.alg, nil
-		}
-	}
-	return 0, fmt.Errorf("mbe: unknown algorithm %q (want %s)", name, strings.Join(AlgorithmNames, "|"))
+	id, err := engine.Parse(name)
+	return Algorithm(id), err
 }
 
 // OrderingNames lists the spellings accepted by ParseOrdering.
-var OrderingNames = []string{"asc", "rand", "uc", "none"}
+var OrderingNames = order.Tags()
 
-// ParseOrdering maps a CLI/API ordering name to its Ordering.
+// ParseOrdering maps a CLI/API ordering name to its Ordering; the empty
+// string is the default, ascending degree.
 func ParseOrdering(name string) (Ordering, error) {
-	switch name {
-	case "asc", "":
-		return OrderAscendingDegree, nil
-	case "rand":
-		return OrderRandom, nil
-	case "uc":
-		return OrderUnilateralCore, nil
-	case "none":
-		return OrderNone, nil
-	}
-	return 0, fmt.Errorf("mbe: unknown ordering %q (want %s)", name, strings.Join(OrderingNames, "|"))
+	k, err := order.ParseKind(name)
+	return Ordering(k), err
 }
 
-// Ordering selects the V-side processing order for the AdaMBE family and
-// BBK (the paper competitors use their own papers' defaults).
+// Ordering selects the V-side processing order of a rooted engine (the
+// AdaMBE family and BBK); the paper competitors use their own papers'
+// defaults.
 type Ordering int
 
 const (
 	// OrderAscendingDegree is AdaMBE's default (Fig. 12's winner).
-	OrderAscendingDegree Ordering = iota
+	OrderAscendingDegree = Ordering(order.DegreeAscending)
 	// OrderRandom shuffles V (seeded).
-	OrderRandom
+	OrderRandom = Ordering(order.Random)
 	// OrderUnilateralCore is ooMBEA's UC order.
-	OrderUnilateralCore
+	OrderUnilateralCore = Ordering(order.UnilateralCore)
 	// OrderNone keeps the input order.
-	OrderNone
+	OrderNone = Ordering(order.None)
 )
 
 // Handler receives each maximal biclique. Slices are reused by the engine:
@@ -341,7 +289,7 @@ type Options struct {
 	Tau int
 	// Threads for the parallel algorithms; 0 = GOMAXPROCS.
 	Threads int
-	// Ordering for the AdaMBE family; default ascending degree.
+	// Ordering for a rooted engine; default ascending degree.
 	Ordering Ordering
 	// Seed for OrderRandom.
 	Seed int64
@@ -367,10 +315,11 @@ type Options struct {
 	// Metrics, if non-nil, gathers instrumentation (AdaMBE family and
 	// BBK; the paper competitors ignore it).
 	Metrics *Metrics
-	// Obs, if non-nil, receives live progress: in-flight counters, worker
-	// states and root-frontier advance, snapshottable mid-run (AdaMBE
-	// family only). Unlike Metrics, which is merged once at the end, Obs
-	// is readable while the run is in flight.
+	// Obs, if non-nil, receives live progress, snapshottable mid-run:
+	// engines with probes (the AdaMBE family) report in-flight node and
+	// biclique counters, worker states and root-frontier advance; the
+	// other engines report bicliques only. Unlike Metrics, which is
+	// merged once at the end, Obs is readable while the run is in flight.
 	Obs *Recorder
 
 	// StartRoot and EndRoot bound the run to the root range
@@ -380,18 +329,19 @@ type Options struct {
 	// R-vertex (in the ordered id space) falls inside the range is emitted
 	// exactly once and no others, so disjoint ranges partition the full
 	// output — the contract the distributed coordinator (internal/dist,
-	// docs/DISTRIBUTED.md) shards on. AdaMBE family and BBK only; an empty
-	// or reversed range, or one combined with SpoolDir/Resume (a spool
-	// manages its own root frontier) or a paper competitor, is an error.
+	// docs/DISTRIBUTED.md) shards on. Rooted engines only (the AdaMBE
+	// family and BBK; see DESIGN.md's engine table); an empty or reversed
+	// range, or one combined with SpoolDir/Resume (a spool manages its own
+	// root frontier) or a paper competitor, is an error.
 	StartRoot int32
 	EndRoot   int32
 
 	// SpoolDir, if non-empty, streams every maximal biclique to a durable
 	// sharded on-disk spool in that directory (created if absent) and
 	// periodically checkpoints the run so an interrupted enumeration can
-	// be resumed with Resume — see docs/DURABILITY.md. AdaMBE family and
-	// BBK only. OnBiclique still fires if set; a spooled run does not
-	// need one. Read results back with ReadSpool or SpoolDigest.
+	// be resumed with Resume — see docs/DURABILITY.md. Rooted engines
+	// only. OnBiclique still fires if set; a spooled run does not need
+	// one. Read results back with ReadSpool or SpoolDigest.
 	SpoolDir string
 	// Resume continues an interrupted spooled run: the spool in SpoolDir
 	// is rewound to its last checkpoint and enumeration restarts at the
@@ -449,125 +399,21 @@ func Enumerate(g *Graph, opts Options) (Result, error) {
 	if (opts.StartRoot != 0 || opts.EndRoot != 0) && opts.SpoolDir != "" {
 		return Result{}, fmt.Errorf("mbe: StartRoot/EndRoot cannot be combined with SpoolDir (a spool manages its own root frontier)")
 	}
-	switch opts.Algorithm {
-	case AdaMBE, ParAdaMBE, BaselineMBE, AdaMBELN, AdaMBEBIT:
-		if opts.SpoolDir != "" {
-			return enumerateSpooled(g, opts)
+	var sp *ckpt.OpenOptions
+	if opts.SpoolDir != "" {
+		sp = &ckpt.OpenOptions{
+			Dir:    opts.SpoolDir,
+			Meta:   spool.Meta{Tool: "mbe", Compress: opts.SpoolCompress},
+			Resume: opts.Resume,
+			Every:  opts.Checkpoint.Every,
+			Writer: spool.WriterOptions{Fsync: opts.SpoolFsync},
+			OnWarn: opts.OnWarning,
 		}
-		return enumerateCore(g, opts)
-	case BBK:
-		if opts.SpoolDir != "" {
-			return enumerateSpooledBBK(g, opts)
-		}
-		return enumerateBBK(g, opts)
-	case FMBE, PMBE, OOMBEA, ParMBE, GMBESim:
-		if opts.SpoolDir != "" {
-			return Result{}, fmt.Errorf("mbe: SpoolDir is only supported by the AdaMBE family and BBK, not %s", opts.Algorithm)
-		}
-		if opts.StartRoot != 0 || opts.EndRoot != 0 {
-			return Result{}, fmt.Errorf("mbe: StartRoot/EndRoot are only supported by the AdaMBE family and BBK, not %s", opts.Algorithm)
-		}
-		alg := map[Algorithm]baselines.Algorithm{
-			FMBE: baselines.FMBE, PMBE: baselines.PMBE, OOMBEA: baselines.OOMBEA,
-			ParMBE: baselines.ParMBE, GMBESim: baselines.GMBE,
-		}[opts.Algorithm]
-		return baselines.Run(g.b, alg, baselines.Options{
-			Threads:        opts.Threads,
-			OnBiclique:     opts.OnBiclique,
-			Deadline:       opts.Deadline,
-			Context:        opts.Context,
-			MaxMemoryBytes: opts.MaxMemoryBytes,
-		})
-	default:
-		return Result{}, fmt.Errorf("mbe: unknown algorithm %d", int(opts.Algorithm))
 	}
-}
-
-// resolveOrdering applies the requested V-side ordering: it returns the
-// (possibly permuted) graph and the permutation used (nil for OrderNone).
-// Shared by the AdaMBE-family paths and BBK — both pin the root
-// decomposition to the ordering, which is what a spool's checkpoint
-// watermark refers to.
-func resolveOrdering(g *Graph, opts Options) (*graph.Bipartite, []int32, error) {
-	b := g.b
-	var perm []int32
-	switch opts.Ordering {
-	case OrderNone:
-	case OrderAscendingDegree, OrderRandom, OrderUnilateralCore:
-		kind := map[Ordering]order.Kind{
-			OrderAscendingDegree: order.DegreeAscending,
-			OrderRandom:          order.Random,
-			OrderUnilateralCore:  order.UnilateralCore,
-		}[opts.Ordering]
-		perm = order.Permutation(b, kind, opts.Seed)
-		var err error
-		b, err = b.PermuteV(perm)
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		return nil, nil, fmt.Errorf("mbe: unknown ordering %d", int(opts.Ordering))
-	}
-	return b, perm, nil
-}
-
-// resolveCoreRun maps an AdaMBE-family Options onto the core engine's
-// inputs: the variant, the V-permuted graph, and the permutation used
-// (nil for OrderNone).
-func resolveCoreRun(g *Graph, opts Options) (*graph.Bipartite, core.Variant, []int32, error) {
-	variant := map[Algorithm]core.Variant{
-		AdaMBE: core.Ada, ParAdaMBE: core.Ada, BaselineMBE: core.Baseline,
-		AdaMBELN: core.LN, AdaMBEBIT: core.BIT,
-	}[opts.Algorithm]
-	b, perm, err := resolveOrdering(g, opts)
-	if err != nil {
-		return nil, variant, nil, err
-	}
-	return b, variant, perm, nil
-}
-
-// enumerateBBK runs the BBK engine with the mbe-level ordering applied
-// and R ids mapped back to g's id space, like enumerateCore.
-func enumerateBBK(g *Graph, opts Options) (Result, error) {
-	b, perm, err := resolveOrdering(g, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return baselines.Run(b, baselines.BBK, baselines.Options{
-		OnBiclique:     wrapMapBack(opts, perm),
-		Deadline:       opts.Deadline,
-		Context:        opts.Context,
-		MaxMemoryBytes: opts.MaxMemoryBytes,
-		Metrics:        opts.Metrics,
-		StartRoot:      opts.StartRoot,
-		EndRoot:        opts.EndRoot,
-	})
-}
-
-// coreThreads resolves the effective parallel width (0 = serial).
-func (o Options) coreThreads() int {
-	if o.Algorithm != ParAdaMBE {
-		return 0
-	}
-	if o.Threads == 0 {
-		return defaultThreads()
-	}
-	return o.Threads
-}
-
-func enumerateCore(g *Graph, opts Options) (Result, error) {
-	b, variant, perm, err := resolveCoreRun(g, opts)
-	if err != nil {
-		return Result{}, err
-	}
-
-	handler := wrapMapBack(opts, perm)
-
-	return core.Enumerate(b, core.Options{
-		Variant:        variant,
+	return engine.ID(opts.Algorithm).Enumerate(g.b, order.Kind(opts.Ordering), opts.Seed, core.Options{
 		Tau:            opts.Tau,
-		Threads:        opts.coreThreads(),
-		OnBiclique:     handler,
+		Threads:        opts.Threads,
+		OnBiclique:     opts.OnBiclique,
 		UnorderedEmit:  opts.UnorderedEmit,
 		Deadline:       opts.Deadline,
 		Context:        opts.Context,
@@ -576,10 +422,8 @@ func enumerateCore(g *Graph, opts Options) (Result, error) {
 		Obs:            opts.Obs,
 		StartRoot:      opts.StartRoot,
 		EndRoot:        opts.EndRoot,
-	})
+	}, sp)
 }
-
-func defaultThreads() int { return runtime.GOMAXPROCS(0) }
 
 // Count enumerates with default options (serial AdaMBE) and returns only
 // the number of maximal bicliques.

@@ -43,12 +43,18 @@ func allAlgorithms() []mbe.Algorithm {
 func TestPaperExampleThroughPublicAPI(t *testing.T) {
 	g := paperGraph(t)
 	for _, a := range allAlgorithms() {
-		res, err := mbe.Enumerate(g, mbe.Options{Algorithm: a, Threads: 2})
+		rec := mbe.NewRecorder(mbe.RunInfo{Algorithm: a.String()})
+		res, err := mbe.Enumerate(g, mbe.Options{Algorithm: a, Threads: 2, Obs: rec})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
 		if res.Count != 9 {
 			t.Fatalf("%v: count %d, want 9", a, res.Count)
+		}
+		// Every engine reports to an attached Recorder, with or without
+		// probes of its own.
+		if snap := rec.Snapshot(); snap.Bicliques != 9 || snap.Phase != "done" {
+			t.Errorf("%v: recorder bicliques=%d phase=%q, want 9, done", a, snap.Bicliques, snap.Phase)
 		}
 	}
 }

@@ -3,7 +3,10 @@
 # (docs/DURABILITY.md): an interrupted spooled enumeration, resumed,
 # yields a spool whose digest is identical to an uninterrupted run's.
 #
-# Usage: check_resume.sh <mbe-binary> <dataset> [threads] [kill_after_s]
+# Usage: check_resume.sh <mbe-binary> <dataset> [threads] [kill_after_s] [algorithm]
+#
+# algorithm is any rooted engine (mbe -a spelling); by default AdaMBE, or
+# ParAdaMBE when threads > 1.
 #
 #   1. Run a clean spooled enumeration to completion; record its digest
 #      (`mbe cat -digest`).
@@ -19,12 +22,16 @@
 # still match.
 set -u
 
-bin="${1:?usage: check_resume.sh <mbe-binary> <dataset> [threads] [kill_after_s]}"
-dataset="${2:?usage: check_resume.sh <mbe-binary> <dataset> [threads] [kill_after_s]}"
+usage="usage: check_resume.sh <mbe-binary> <dataset> [threads] [kill_after_s] [algorithm]"
+bin="${1:?$usage}"
+dataset="${2:?$usage}"
 threads="${3:-4}"
 kill_after="${4:-2}"
-algo="AdaMBE"
-[ "$threads" -gt 1 ] 2>/dev/null && algo="ParAdaMBE"
+algo="${5:-}"
+if [ -z "$algo" ]; then
+  algo="AdaMBE"
+  [ "$threads" -gt 1 ] 2>/dev/null && algo="ParAdaMBE"
+fi
 
 work=$(mktemp -d) || exit 1
 trap 'rm -rf "$work"' EXIT

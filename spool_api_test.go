@@ -2,6 +2,8 @@ package mbe_test
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -71,15 +73,23 @@ func TestSpooledEnumerateMatchesInMemory(t *testing.T) {
 			}
 			want := refDigest(t, g, tc.algo, tc.threads)
 			dir := filepath.Join(t.TempDir(), "spool")
+			rec := mbe.NewRecorder(mbe.RunInfo{Algorithm: tc.algo.String()})
 			res, err := mbe.Enumerate(g, mbe.Options{
 				Algorithm: tc.algo, Threads: tc.threads,
-				SpoolDir: dir, SpoolCompress: tc.compress,
+				SpoolDir: dir, SpoolCompress: tc.compress, Obs: rec,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Count != want.Count {
 				t.Errorf("spooled run counted %d, want %d", res.Count, want.Count)
+			}
+			// Every rooted engine reports to an attached Recorder, with or
+			// without probes of its own.
+			if snap := rec.Snapshot(); snap.Bicliques != want.Count || snap.SpoolRecords != want.Count ||
+				snap.SpoolBytes == 0 || snap.Phase != "done" {
+				t.Errorf("recorder after the spooled run: bicliques=%d spool_records=%d spool_bytes=%d phase=%q; want %d, %d, >0, done",
+					snap.Bicliques, snap.SpoolRecords, snap.SpoolBytes, snap.Phase, want.Count, want.Count)
 			}
 			got, err := mbe.SpoolDigest(dir)
 			if err != nil {
@@ -201,5 +211,52 @@ func TestSpoolOptionValidation(t *testing.T) {
 	// Creating over an existing spool (without Resume) is refused too.
 	if _, err := mbe.Enumerate(g, mbe.Options{Algorithm: mbe.AdaMBE, SpoolDir: dir}); err == nil {
 		t.Error("re-running into an existing spool without Resume must be rejected")
+	}
+}
+
+// TestSpoolVersionRefused: a spool.json of another format version — 7,
+// or none at all — is refused by both readers and by Resume instead of
+// being replayed as this build's format.
+func TestSpoolVersionRefused(t *testing.T) {
+	g, err := mbe.Dataset("UL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(map[string]any){
+		"version-7": func(m map[string]any) { m["version"] = 7 },
+		"missing":   func(m map[string]any) { delete(m, "version") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "spool")
+			if _, err := mbe.Enumerate(g, mbe.Options{SpoolDir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "spool.json")
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var meta map[string]any
+			if err := json.Unmarshal(blob, &meta); err != nil {
+				t.Fatal(err)
+			}
+			edit(meta)
+			if blob, err = json.Marshal(meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if n, err := mbe.ReadSpool(dir, nil); err == nil {
+				t.Errorf("ReadSpool replayed %d records of a foreign-version spool", n)
+			}
+			if d, err := mbe.SpoolDigest(dir); err == nil {
+				t.Errorf("SpoolDigest digested a foreign-version spool: %s", d)
+			}
+			if _, err := mbe.Enumerate(g, mbe.Options{SpoolDir: dir, Resume: true}); err == nil {
+				t.Error("Resume accepted a foreign-version spool")
+			}
+		})
 	}
 }
