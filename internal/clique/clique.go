@@ -122,7 +122,7 @@ func Enumerate(g *Graph, opts Options) (Result, error) {
 	if tau < 0 || tau > 64 {
 		return Result{}, fmt.Errorf("clique: tau %d out of range (0, 64]", tau)
 	}
-	e := &engine{g: g, tau: tau, handler: opts.OnClique, dl: tle.New(opts.Deadline)}
+	e := &engine{g: g, tau: tau, handler: opts.OnClique, stop: tle.NewStopper(nil, tle.Config{Deadline: opts.Deadline})}
 	e.run()
 	return Result{Count: e.count, TimedOut: e.timedOut}, nil
 }
@@ -131,7 +131,7 @@ type engine struct {
 	g        *Graph
 	tau      int
 	handler  Handler
-	dl       tle.Deadline
+	stop     tle.Stopper
 	count    int64
 	timedOut bool
 
@@ -153,7 +153,7 @@ func (e *engine) run() {
 		if e.timedOut {
 			return
 		}
-		if e.dl.Hit() {
+		if e.stop.Hit() {
 			e.timedOut = true
 			return
 		}
@@ -199,7 +199,7 @@ func (e *engine) bk(p, x []int32) {
 		e.bkBit(p, x)
 		return
 	}
-	if e.dl.Hit() {
+	if e.stop.Hit() {
 		e.timedOut = true
 		return
 	}
@@ -240,7 +240,7 @@ func (e *engine) bk(p, x []int32) {
 	nX := len(x)
 
 	for k := 0; k < nIter; k++ {
-		if e.dl.Hit() {
+		if e.stop.Hit() {
 			e.timedOut = true
 			break
 		}
@@ -304,7 +304,7 @@ func (e *engine) bkBitRec(univ []int32, masks *[64]uint64, p, x uint64) {
 		}
 		return
 	}
-	if e.dl.Hit() {
+	if e.stop.Hit() {
 		e.timedOut = true
 		return
 	}

@@ -12,6 +12,9 @@ type detachedNode struct {
 	exclIDs  []int32
 	exclNbrs [][]int32
 	depth    int
+	// owner is the worker that queued the node; any other worker that
+	// runs it counts a steal.
+	owner int
 	// root tags the node with the root V vertex (engine order) of the
 	// subtree it belongs to; it rides along so spooled emissions and the
 	// checkpoint frontier can attribute the task's output to its root.

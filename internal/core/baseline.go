@@ -15,7 +15,7 @@ func (e *engine) searchGlobal(L, R []int32, cand []int32, depth int) {
 		return
 	}
 	if e.variant == BIT && len(L) <= e.tau && len(cand) > 0 {
-		e.notePromotion()
+		e.ctr.Promotions++
 		cg := e.buildBitCGGlobal(L, R, cand)
 		reg := obs.TraceRegion("mbe/bit-subtree")
 		e.searchBitRoot(cg, R)
@@ -83,13 +83,9 @@ func (e *engine) searchGlobal(L, R []int32, cand []int32, depth int) {
 		// to compare sizes. Γ(L') is computed from the global adjacency
 		// of L's minimum-degree vertex — the "outside-CG" accesses the
 		// paper's Fig. 5 measures.
-		e.probe.NodeLN()
-		if e.collect {
-			e.metrics.NodesGenerated++
-		}
+		e.ctr.NodesLN++
 		if e.gammaSize(lq) == nr {
 			if e.collect {
-				e.metrics.NodesMaximal++
 				e.metrics.observeNode(len(lq), nc)
 			}
 			e.emit(lq, rq)
@@ -98,8 +94,6 @@ func (e *engine) searchGlobal(L, R []int32, cand []int32, depth int) {
 				e.searchGlobal(lq, rq, cq, depth+1)
 				e.exitSmallTimer(t0, timed)
 			}
-		} else if e.collect {
-			e.metrics.NodesNonMaximal++
 		}
 		e.ids.Release(mark)
 		// Line #13: C ← C \ {v'} is implicit: later iterations start at i+1.

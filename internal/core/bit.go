@@ -99,26 +99,10 @@ func (e *engine) maskWidth(lenL int) int {
 	return bitset.WordsFor(lenL)
 }
 
-// notePromotion records one list-procedure subtree handing off to the
-// bitwise procedure (the LN→BIT promotion the τ knob controls).
-func (e *engine) notePromotion() {
-	e.probe.Promote()
-	if e.collect {
-		e.metrics.BitPromotions++
-	}
-}
-
-// observeBitmap records the width histogram row for a freshly built CG.
+// observeBitmap counts a freshly built CG and its width histogram row.
 func (e *engine) observeBitmap(width int) {
-	e.probe.Bitmap()
-	if e.collect {
-		e.metrics.BitmapsCreated++
-		b := width - 1
-		if b >= len(e.metrics.BitWidthHist) {
-			b = len(e.metrics.BitWidthHist) - 1
-		}
-		e.metrics.BitWidthHist[b]++
-	}
+	e.ctr.Bitmaps++
+	e.metrics.BitWidthHist[min(width, len(e.metrics.BitWidthHist))-1]++
 }
 
 // buildBitCGFromLN materializes the bitmap CG from a node's cached local
@@ -290,14 +274,8 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32)
 				}
 			}
 		}
-		e.probe.NodeBit()
-		if e.collect {
-			e.metrics.NodesGenerated++
-		}
+		e.ctr.NodesBit++
 		if !maximal {
-			if e.collect {
-				e.metrics.NodesNonMaximal++
-			}
 			continue
 		}
 
@@ -340,7 +318,6 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32)
 		}
 
 		if e.collect {
-			e.metrics.NodesMaximal++
 			e.metrics.observeNode(bits.OnesCount64(lq), nc)
 		}
 		e.emitBit1(cg, lq, rq[:nr])
@@ -354,8 +331,7 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32)
 // emitBit1 is emitBit for one-word L masks.
 func (e *engine) emitBit1(cg *bitCG, lq uint64, R []int32) {
 	if e.handler == nil && e.sink == nil {
-		e.count++
-		e.probe.Biclique()
+		e.ctr.Bicliques++
 		return
 	}
 	mark := e.ids.Mark()
@@ -408,33 +384,20 @@ func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32
 		// already traversed at this node or an ancestor within the bitmap.
 		// SetIntersections counts one op per mask actually inspected, like
 		// the early-exiting per-vertex loop it replaces.
-		maximal := true
-		if at := bitset.FirstSupersetPacked(lq, masks, width, excl); at >= 0 {
-			maximal = false
-			if e.collect {
-				e.metrics.SetIntersections += int64(at + 1)
-			}
+		inspected := len(excl)
+		at := bitset.FirstSupersetPacked(lq, masks, width, excl)
+		if at >= 0 {
+			inspected = at + 1
+		} else if at = bitset.FirstSupersetPacked(lq, masks, width, cand[:i]); at >= 0 {
+			inspected += at + 1
 		} else {
-			if e.collect {
-				e.metrics.SetIntersections += int64(len(excl))
-			}
-			if at := bitset.FirstSupersetPacked(lq, masks, width, cand[:i]); at >= 0 {
-				maximal = false
-				if e.collect {
-					e.metrics.SetIntersections += int64(at + 1)
-				}
-			} else if e.collect {
-				e.metrics.SetIntersections += int64(i)
-			}
+			inspected += i
 		}
-		e.probe.NodeBit()
 		if e.collect {
-			e.metrics.NodesGenerated++
+			e.metrics.SetIntersections += int64(inspected)
 		}
-		if !maximal {
-			if e.collect {
-				e.metrics.NodesNonMaximal++
-			}
+		e.ctr.NodesBit++
+		if at >= 0 { // lq ⊆ an excluded or traversed mask: not maximal
 			continue
 		}
 
@@ -470,7 +433,6 @@ func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32
 		nx += bitset.FilterIntersectsPacked(lq, masks, width, cand[:i], exq[nx:])
 
 		if e.collect {
-			e.metrics.NodesMaximal++
 			e.metrics.observeNode(lq.Count(), nc)
 		}
 		e.emitBit(cg, lq, rq[:nr])
@@ -496,8 +458,7 @@ func (e *engine) relScratch(n int) []bitset.Rel {
 // the L side only when a handler is attached.
 func (e *engine) emitBit(cg *bitCG, lq bitset.Mask, R []int32) {
 	if e.handler == nil && e.sink == nil {
-		e.count++
-		e.probe.Biclique()
+		e.ctr.Bicliques++
 		return
 	}
 	mark := e.ids.Mark()

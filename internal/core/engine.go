@@ -34,7 +34,12 @@ type engine struct {
 	stop    tle.Stopper
 	hook    func(site string) error // Options.FaultHook
 
-	count int64
+	// ctr is the worker's one store of event counts: nodes, bicliques,
+	// bitmaps, promotions, tasks, steals and the root cursor, each counted
+	// once with a plain increment. Options.Metrics gets them merged at the
+	// end of the run (see mergeMetrics); Options.Obs gets a copy at every
+	// stop-check poll and on exit (see publish).
+	ctr obs.Counters
 
 	// Durable-emission state (Options.Sink / Frontier / StartRoot; all
 	// zero-valued and branch-free on ordinary runs). wid is this engine's
@@ -48,13 +53,15 @@ type engine struct {
 	startRoot int32
 	endRoot   int32 // exclusive root limit; 0 means |V|
 
+	// collect gates the figure counters in metrics that cost something
+	// per set operation or need the clock (Options.Metrics != nil).
 	collect bool
 	metrics Metrics
 	inSmall bool // currently timing a |L| ≤ τ subtree (Fig. 10d)
 	padBits bool // Options.PadBitmaps
 
-	// probe is this worker's live-counter sink (Options.Obs); nil when
-	// observability is off — every probe method no-ops on nil.
+	// probe is where publish copies ctr (Options.Obs); nil when
+	// observability is off.
 	probe *obs.WorkerProbe
 
 	ids  slab[int32]   // vertex-id and offset scratch
@@ -74,6 +81,8 @@ type engine struct {
 	// must detach (deep-copy) them before returning true. depth is the
 	// enumeration-tree depth of the offered node.
 	spawn func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool
+	// arena recycles the nodes spawn detaches (parallel runs only).
+	arena nodeArena
 
 	// allU caches [0, NU) for the root node.
 	allU []int32
@@ -102,7 +111,6 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 		variant: opts.Variant,
 		tau:     opts.tau(),
 		handler: opts.OnBiclique,
-		stop:    tle.NewStopper(shared, opts.StopConfig()),
 		hook:    opts.FaultHook,
 		collect: opts.Metrics != nil,
 		probe:   opts.Obs.Worker(wid),
@@ -113,6 +121,11 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 		startRoot: opts.StartRoot,
 		endRoot:   opts.EndRoot,
 	}
+	cfg := opts.StopConfig()
+	if e.probe != nil {
+		cfg.OnPoll = e.publish
+	}
+	e.stop = tle.NewStopper(shared, cfg)
 	e.skipChild = opts.SkipChild
 	e.skipSubtree = opts.SkipSubtree
 	e.padBits = opts.PadBitmaps
@@ -142,6 +155,29 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 // chargeMem accounts engine-side allocation growth against the run's soft
 // memory budget.
 func (e *engine) chargeMem(bytes int64) { e.stop.AddMem(bytes) }
+
+// publish copies the worker's counters to its live probe. The stopper
+// calls it at every poll; the worker calls it once more on exit, before
+// any count reconciliation, so published counts never go down.
+func (e *engine) publish() {
+	e.ctr.ArenaReuse, _ = e.arena.free.Stats()
+	e.probe.Publish(&e.ctr)
+}
+
+// mergeMetrics folds the worker's counters and figure counters into m.
+// Every maximal node is emitted exactly once, so NodesMaximal is the
+// biclique count and the rest of NodesGenerated is non-maximal.
+func (e *engine) mergeMetrics(m *Metrics) {
+	c := &e.ctr
+	e.metrics.NodesGenerated = c.NodesLN + c.NodesBit
+	e.metrics.NodesMaximal = c.Bicliques
+	e.metrics.NodesNonMaximal = e.metrics.NodesGenerated - c.Bicliques
+	e.metrics.BitmapsCreated = c.Bitmaps
+	e.metrics.BitPromotions = c.Promotions
+	e.metrics.TasksStolen = c.Steals
+	e.arena.stats(&e.metrics)
+	m.merge(&e.metrics)
+}
 
 // faultStep runs the test-only fault hook at an instrumentation site. An
 // injected allocation failure degrades the worker exactly like an
@@ -230,7 +266,7 @@ func (e *engine) runGlobalRoot() {
 	}
 	var rs rootScratch
 	for vp, limit := e.startRoot, e.rootLimit(nv); vp < limit; vp++ {
-		e.probe.RootAdvance(int64(vp))
+		e.ctr.Root = int64(vp) + 1
 		if g.DegV(vp) == 0 {
 			e.rootDone(vp)
 			continue
@@ -269,13 +305,9 @@ func (e *engine) runGlobalRoot() {
 				nc++
 			}
 		}
-		e.probe.NodeLN()
-		if e.collect {
-			e.metrics.NodesGenerated++
-		}
+		e.ctr.NodesLN++
 		if e.gammaSize(lq) == nr {
 			if e.collect {
-				e.metrics.NodesMaximal++
 				e.metrics.observeNode(len(lq), nc)
 			}
 			e.emit(lq, rq[:nr])
@@ -284,8 +316,6 @@ func (e *engine) runGlobalRoot() {
 				e.searchGlobal(lq, rq[:nr], cq[:nc], 1)
 				e.exitSmallTimer(t0, timed)
 			}
-		} else if e.collect {
-			e.metrics.NodesNonMaximal++
 		}
 		e.ids.Release(mark)
 		// A stop observed mid-subtree means vp's emission is incomplete:
@@ -311,7 +341,7 @@ func (e *engine) runLNRoot() {
 	e.chargeMem(int64(nv))
 	var rs rootScratch
 	for vp, limit := e.startRoot, e.rootLimit(nv); vp < limit; vp++ {
-		e.probe.RootAdvance(int64(vp))
+		e.ctr.Root = int64(vp) + 1
 		if g.DegV(vp) == 0 || pruned[vp] {
 			e.rootDone(vp)
 			continue
@@ -388,13 +418,9 @@ func (e *engine) runLNRoot() {
 			}
 		}
 
-		e.probe.NodeLN()
-		if e.collect {
-			e.metrics.NodesGenerated++
-		}
+		e.ctr.NodesLN++
 		if maximal {
 			if e.collect {
-				e.metrics.NodesMaximal++
 				e.metrics.observeNode(len(lq), nc)
 			}
 			e.emit(lq, rq[:nr])
@@ -408,8 +434,6 @@ func (e *engine) runLNRoot() {
 					e.exitSmallTimer(t0, timed)
 				}
 			}
-		} else if e.collect {
-			e.metrics.NodesNonMaximal++
 		}
 		e.ids.Release(idMark)
 		e.hdrs.Release(hdrMark)
@@ -425,8 +449,7 @@ func (e *engine) runLNRoot() {
 
 // emit reports one maximal biclique.
 func (e *engine) emit(L, R []int32) {
-	e.count++
-	e.probe.Biclique()
+	e.ctr.Bicliques++
 	if e.handler != nil {
 		e.handler(L, R)
 	}

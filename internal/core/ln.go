@@ -30,7 +30,7 @@ func (e *engine) searchLN(L, R []int32, candIDs []int32, candNbrs [][]int32, exc
 		return
 	}
 	if e.variant == Ada && len(L) <= e.tau && len(candIDs) > 0 {
-		e.notePromotion()
+		e.ctr.Promotions++
 		cg := e.buildBitCGFromLN(L, candIDs, candNbrs, exclIDs, exclNbrs)
 		reg := obs.TraceRegion("mbe/bit-subtree")
 		e.searchBitRoot(cg, R)
@@ -137,13 +137,9 @@ func (e *engine) searchLN(L, R []int32, candIDs []int32, candNbrs [][]int32, exc
 			}
 		}
 
-		e.probe.NodeLN()
-		if e.collect {
-			e.metrics.NodesGenerated++
-		}
+		e.ctr.NodesLN++
 		if maximal {
 			if e.collect {
-				e.metrics.NodesMaximal++
 				e.metrics.observeNode(len(lq), nc)
 			}
 			e.emit(lq, rq[:nr])
@@ -157,11 +153,8 @@ func (e *engine) searchLN(L, R []int32, candIDs []int32, candNbrs [][]int32, exc
 					e.exitSmallTimer(t0, timed)
 				}
 			}
-		} else if e.collect {
-			e.metrics.NodesNonMaximal++
 		}
 		e.ids.Release(idMark)
 		e.hdrs.Release(hdrMark)
 	}
 }
-

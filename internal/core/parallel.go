@@ -32,8 +32,6 @@ func (o poolObserver) WorkerState(w int, s sched.WorkerState) {
 	o.rec.Worker(w).SetState(st)
 }
 
-func (o poolObserver) WorkerStole(w int) { o.rec.Worker(w).Steal() }
-
 // Scheduler sizing. The per-worker deque bound keeps the detached-node
 // footprint proportional to the worker count (the queue is backpressure,
 // not buffering: a full deque means the producer recurses inline, which is
@@ -119,6 +117,7 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 	}
 	// Seed with a root marker: the worker that picks it up runs the
 	// two-hop root loop, spawning every first-level subtree as a task.
+	// Seed queues it on worker 0's deque, matching its zero owner.
 	pool.Seed(&detachedNode{isRoot: true})
 
 	var workers sync.WaitGroup
@@ -143,17 +142,16 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 			if shard != nil {
 				shard.charge = e.chargeMem
 			}
-			// Worker-local spawn arena. Ownership follows the task: nodes
-			// this worker executes — its own pops and its steals alike —
-			// are recycled into this arena after runTask's last defer has
-			// fired, then reused by this worker's next detach.
-			var arena nodeArena
 			// Drain this worker's results on every exit path — normal pool
 			// drain, early stop, or a panic unwinding past the task-level
-			// recovery — through the same flush/reconcile/merge sequence:
-			// registered as a defer right here so a cancellation can never
-			// skip the merge and lose counted bicliques or gathered metrics.
+			// recovery — through the same publish/flush/reconcile/merge
+			// sequence: registered as a defer right here so a cancellation
+			// can never skip the merge and lose counted bicliques or
+			// gathered metrics. The final publish comes before the
+			// reconciliation, which never touches the published counters.
 			defer func() {
+				e.publish()
+				count := e.ctr.Bicliques
 				if shard != nil {
 					func() {
 						defer func() {
@@ -167,13 +165,12 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 					// Anything the shard could not deliver is reconciled out
 					// of the count: Result.Count only ever counts bicliques
 					// the handler actually received.
-					e.count -= shard.undelivered()
+					count -= shard.undelivered()
 				}
-				total.Add(e.count)
+				total.Add(count)
 				if opts.Metrics != nil {
-					arena.stats(&e.metrics)
 					metricsMu.Lock()
-					opts.Metrics.merge(&e.metrics)
+					e.mergeMetrics(opts.Metrics)
 					metricsMu.Unlock()
 				}
 			}()
@@ -191,10 +188,8 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				// CanPush held above, and only this worker pushes to this
 				// deque: the slot is reserved, the copy cannot be wasted
 				// and the push cannot fail.
-				n, reused := arena.detach(L, R, candIDs, candNbrs, exclIDs, exclNbrs)
-				if reused {
-					e.probe.ArenaReuse()
-				}
+				n, _ := e.arena.detach(L, R, candIDs, candNbrs, exclIDs, exclNbrs)
+				n.owner = w
 				n.depth = depth
 				n.root = e.curRoot
 				n.mem = n.memBytes()
@@ -214,7 +209,10 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 			// gauge tracks the live detached-node footprint, not
 			// cumulative spawn traffic.
 			runTask := func(n *detachedNode) {
-				e.probe.TaskStart()
+				e.ctr.Tasks++
+				if n.owner != w {
+					e.ctr.Steals++
+				}
 				// Registered first so it runs last, after the panic
 				// recovery below has tripped the shared stop state: a
 				// panicked or stop-interrupted task must report Discarded
@@ -268,8 +266,10 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				// held (frontier report, gauge release) is dead; searchLN does
 				// not retain its argument slices and spawn deep-copies into a
 				// fresh node, so the shell and its backing buffers are free to
-				// reuse. The root marker recycles harmlessly (empty buffers).
-				arena.recycle(n)
+				// reuse. Ownership follows the task: nodes this worker runs —
+				// its own pops and its steals alike — land in its arena. The
+				// root marker recycles harmlessly (empty buffers).
+				e.arena.recycle(n)
 			}
 		}(w)
 	}
@@ -278,7 +278,6 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 	if opts.Metrics != nil {
 		c := pool.Counters()
 		opts.Metrics.TasksSpawned += c.Spawned
-		opts.Metrics.TasksStolen += c.Stolen
 		if c.MaxQueueDepth > opts.Metrics.MaxQueueDepth {
 			opts.Metrics.MaxQueueDepth = c.MaxQueueDepth
 		}

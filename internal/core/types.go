@@ -151,11 +151,13 @@ type Options struct {
 	// 5 and 10 (CG-size histogram, inside/outside-CG vertex accesses,
 	// non-maximal node counts, small/large-node time split).
 	Metrics *Metrics
-	// Obs, if non-nil, attaches the live observability recorder: per-worker
-	// atomic counters updated on the hot paths, snapshottable mid-run by
-	// the progress sampler and the /debug endpoint. Unlike Metrics (merged
-	// once at the end), Obs is readable while the run is in flight. Nil
-	// costs one predictable branch per probe site.
+	// Obs, if non-nil, attaches the live observability recorder: each
+	// worker publishes a copy of its plain event counters to its probe at
+	// every amortized stop-check poll (every tle.CheckEvery nodes, and at
+	// each parallel task start) and when it exits, so the progress sampler
+	// and the /debug endpoint can read the run while it is in flight.
+	// Unlike Metrics (merged once at the end), Obs lags the workers by at
+	// most one poll quantum. Nil costs nothing on the per-node path.
 	Obs *obs.Recorder
 
 	// Sink, if non-nil, additionally receives every maximal biclique with
@@ -545,10 +547,11 @@ func enumerateSerial(g *graph.Bipartite, opts Options, shared *tle.Shared) (res 
 	e := newEngine(g, opts, shared, 0)
 	e.probe.SetState(obs.StateBusy)
 	defer func() {
+		e.publish()
 		if opts.Metrics != nil {
-			opts.Metrics.merge(&e.metrics)
+			e.mergeMetrics(opts.Metrics)
 		}
-		res = Result{Count: e.count, StopReason: stopReasonFrom(e.stop.Reason())}
+		res = Result{Count: e.ctr.Bicliques, StopReason: stopReasonFrom(e.stop.Reason())}
 		if r := recover(); r != nil {
 			res.StopReason = StopPanic
 			err = panicError("serial engine", r)

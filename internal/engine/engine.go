@@ -178,8 +178,9 @@ func (id ID) CheckRooted() error {
 // the engine. spec is the engine's run spec: Threads is resolved by
 // Width, and a root range or a Sink/Frontier needs a rooted engine. An
 // Obs recorder attached to an engine without probes is fed here: Run
-// drives its lifecycle and counts bicliques in a wrapper around
-// OnBiclique, which no other run pays for.
+// drives its lifecycle and, in a wrapper around OnBiclique that no other
+// run pays for, counts each biclique and publishes the count
+// (baselines.Run serializes OnBiclique, so a plain count is safe).
 func (id ID) Run(g *graph.Bipartite, spec core.Options) (core.Result, error) {
 	e, err := id.entry()
 	if err != nil {
@@ -199,8 +200,10 @@ func (id ID) Run(g *graph.Bipartite, spec core.Options) (core.Result, error) {
 	probe := rec.Worker(0)
 	probe.SetState(obs.StateBusy)
 	inner := spec.OnBiclique
+	var c obs.Counters
 	spec.OnBiclique = func(L, R []int32) {
-		probe.Biclique()
+		c.Bicliques++
+		probe.Publish(&c)
 		if inner != nil {
 			inner(L, R)
 		}

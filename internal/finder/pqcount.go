@@ -31,7 +31,7 @@ func CountPQBicliques(g *graph.Bipartite, p, q int, deadline time.Time) (count i
 	if p < 1 || q < 1 {
 		return 0, false, fmt.Errorf("finder: p and q must be ≥ 1 (got p=%d q=%d)", p, q)
 	}
-	e := &pqCounter{g: g, p: p, q: q, dl: tle.New(deadline)}
+	e := &pqCounter{g: g, p: p, q: q, stop: tle.NewStopper(nil, tle.Config{Deadline: deadline})}
 	nv := int32(g.NV())
 	for v := int32(0); v < nv; v++ {
 		if e.timedOut {
@@ -49,7 +49,7 @@ func CountPQBicliques(g *graph.Bipartite, p, q int, deadline time.Time) (count i
 type pqCounter struct {
 	g        *graph.Bipartite
 	p, q     int
-	dl       tle.Deadline
+	stop     tle.Stopper
 	count    int64
 	timedOut bool
 	ids      vset.Slab[int32]
@@ -60,7 +60,7 @@ func (e *pqCounter) rec(start int32, depth int, common []int32) {
 		e.add(binomial(len(common), e.p))
 		return
 	}
-	if e.dl.Hit() {
+	if e.stop.Hit() {
 		e.timedOut = true
 		return
 	}

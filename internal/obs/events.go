@@ -67,27 +67,6 @@ type Sink interface {
 	Emit(Event)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Emit calls f.
-func (f SinkFunc) Emit(e Event) { f(e) }
-
-// MultiSink fans an event out to several sinks (nils skipped).
-func MultiSink(sinks ...Sink) Sink {
-	live := sinks[:0]
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	return SinkFunc(func(e Event) {
-		for _, s := range live {
-			s.Emit(e)
-		}
-	})
-}
-
 // JSONLSink writes one JSON object per line. Writes are serialized; the
 // first write error is retained (and further events dropped) rather than
 // failing the enumeration it observes.

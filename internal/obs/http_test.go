@@ -46,8 +46,7 @@ func TestServeDebugProgress(t *testing.T) {
 
 	r := NewRecorder(RunInfo{Algorithm: "ParAdaMBE", Dataset: "http", Threads: 2})
 	r.RunBegin(RunConfig{Workers: 2, Frontier: 50})
-	r.Worker(0).NodeLN()
-	r.Worker(0).Biclique()
+	r.Worker(0).Publish(&Counters{NodesLN: 1, Bicliques: 1})
 	Publish(r)
 	defer Unpublish(r)
 

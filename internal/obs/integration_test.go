@@ -152,36 +152,91 @@ func TestLiveProgressDuringRun(t *testing.T) {
 	}
 }
 
-// TestSerialRunPopulatesRecorder covers the serial engine path: worker 0
-// carries the whole run and the root frontier reaches |V|.
+// TestSerialRunPopulatesRecorder: the live view and the merged Metrics
+// are filled from the same per-worker counters, so at the end of a run
+// they agree field for field — serial variants (worker 0 carries the whole
+// run) and ParAdaMBE alike — and the root frontier reaches |V|. Attaching
+// the Recorder changes no schedule-independent Metrics field.
 func TestSerialRunPopulatesRecorder(t *testing.T) {
 	g := randomBipartite(t, 11, 120, 120, 1800)
-	rec := obs.NewRecorder(obs.RunInfo{Algorithm: "AdaMBE", Threads: 1, NV: g.NV()})
-	res, err := core.Enumerate(g, core.Options{Variant: core.Ada, Obs: rec})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		variant core.Variant
+		tau     int
+		threads int
+	}{
+		{"Baseline", core.Baseline, 0, 1},
+		{"AdaMBE-LN", core.LN, 0, 1},
+		{"AdaMBE-BIT", core.BIT, 0, 1},
+		{"AdaMBE/tau64", core.Ada, 64, 1},
+		{"AdaMBE/tau128", core.Ada, 128, 1},
+		{"AdaMBE/threads2", core.Ada, 0, 2},
+		{"AdaMBE/threads4", core.Ada, 0, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := core.Options{Variant: tc.variant, Tau: tc.tau, Threads: tc.threads}
+			rec := obs.NewRecorder(obs.RunInfo{Algorithm: tc.variant.String(), Threads: tc.threads, NV: g.NV()})
+			var m core.Metrics
+			opts.Metrics, opts.Obs = &m, rec
+			res, err := core.Enumerate(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := rec.Snapshot()
+			for _, c := range []struct {
+				name        string
+				live, final int64
+			}{
+				{"Nodes vs NodesGenerated", s.Nodes, m.NodesGenerated},
+				{"NodesLN+NodesBit vs Nodes", s.NodesLN + s.NodesBit, s.Nodes},
+				{"Bicliques vs Result.Count", s.Bicliques, res.Count},
+				{"Bitmaps vs BitmapsCreated", s.Bitmaps, m.BitmapsCreated},
+				{"BitPromotions", s.BitPromotions, m.BitPromotions},
+				{"ArenaReuse vs ArenaSpawnHits", s.ArenaReuse, m.ArenaSpawnHits},
+				{"Steals vs TasksStolen", s.Steals, m.TasksStolen},
+				{"RootDone vs |V|", s.RootDone, int64(g.NV())},
+			} {
+				if c.live != c.final {
+					t.Errorf("%s: %d != %d", c.name, c.live, c.final)
+				}
+			}
+			if s.Nodes == 0 || (tc.variant != core.Baseline && tc.variant != core.LN && s.NodesBit == 0) {
+				t.Errorf("node split empty: %+v", s)
+			}
+			if s.Phase != "done" || s.StopReason != "none" {
+				t.Errorf("terminal snapshot = %+v", s)
+			}
+
+			var bare core.Metrics
+			opts.Metrics, opts.Obs = &bare, nil
+			if _, err := core.Enumerate(g, opts); err != nil {
+				t.Fatal(err)
+			}
+			if scheduleFree(bare) != scheduleFree(m) {
+				t.Errorf("attaching a Recorder changed Metrics:\n%+v\n%+v", scheduleFree(bare), scheduleFree(m))
+			}
+		})
 	}
-	s := rec.Snapshot()
-	if s.Bicliques != res.Count {
-		t.Fatalf("probe bicliques %d != count %d", s.Bicliques, res.Count)
-	}
-	if s.Nodes == 0 || s.NodesBit == 0 {
-		t.Fatalf("node split empty: %+v", s)
-	}
-	if s.RootDone != int64(g.NV()) {
-		t.Fatalf("RootDone = %d, want %d", s.RootDone, g.NV())
-	}
-	if s.Phase != "done" || s.StopReason != "none" {
-		t.Fatalf("terminal snapshot = %+v", s)
+}
+
+// scheduleFree keeps the Metrics fields a run's thread schedule cannot
+// change.
+func scheduleFree(m core.Metrics) core.Metrics {
+	return core.Metrics{
+		NodesGenerated: m.NodesGenerated, NodesMaximal: m.NodesMaximal, NodesNonMaximal: m.NodesNonMaximal,
+		NodesPruned: m.NodesPruned, AccessesInsideCG: m.AccessesInsideCG, AccessesOutsideCG: m.AccessesOutsideCG,
+		SetIntersections: m.SetIntersections, CGHist: m.CGHist, BitmapsCreated: m.BitmapsCreated,
+		BitPromotions: m.BitPromotions, BitWidthHist: m.BitWidthHist,
 	}
 }
 
 // TestOverheadSmoke is the <5%-when-disabled guard's tripwire form: the
 // enabled recorder must not blow up AdaMBE wall time. The bound is
 // deliberately loose (2x) because single-process A/B timing on shared CI
-// hardware is noisy; the real claim — a nil probe is one predictable
-// branch — is structural, and this test exists to catch an accidental
-// lock, allocation, or syscall creeping onto the hot path.
+// hardware is noisy; the real claim — nothing per node is atomic, and a
+// Recorder adds only one publish per stop-check poll — is structural, and
+// this test exists to catch an accidental lock, allocation, or syscall
+// creeping onto the hot path.
 func TestOverheadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing smoke")

@@ -13,22 +13,18 @@ import (
 )
 
 // This file is the service-metrics half of the package: a small,
-// stdlib-only metrics registry (counters, gauges, fixed-bucket
-// histograms) exposed in the Prometheus text exposition format. It is
+// stdlib-only metrics registry (counters, scrape-time gauges,
+// fixed-bucket histograms) exposed in the Prometheus text exposition format. It is
 // the aggregate complement of the per-run Recorder above — a Recorder
 // describes one enumeration in flight, the Registry describes a process
 // serving many of them (the mbed daemon's /metrics endpoint).
 //
-// Design constraints, matching the probe layer's:
+// Design constraints:
 //
-//   - Hot-path updates are lock-free: counters and gauges are one
-//     atomic add; a histogram observation is one binary search over a
+//   - Hot-path updates are lock-free: a counter is one atomic add; a
+//     gauge is read from its callback at scrape time; a histogram observation is one binary search over a
 //     small fixed bound slice plus one atomic add (and a CAS loop for
 //     the running sum). No allocation after registration.
-//   - Histograms merge order-independently: bucket counts and sums are
-//     plain sums, so shards recorded by independent workers (or
-//     processes, in the distributed-enumeration roadmap item) combine
-//     to the same totals in any order.
 //   - Registration is idempotent: registering a name twice returns the
 //     existing metric, so a daemon that tears its debug server down on
 //     SIGTERM and relaunches it cannot hit a duplicate-registration
@@ -169,51 +165,9 @@ func (v *CounterVec) With(values ...string) *Counter {
 
 // --- gauges ----------------------------------------------------------
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-func (g *Gauge) write(w io.Writer, fam *family, labelPairs string) {
-	fmt.Fprintf(w, "%s%s %d\n", fam.name, labelPairs, g.Value())
-}
-
-// NewGauge registers (or returns the existing) unlabeled gauge.
-func (g *Registry) NewGauge(name, help string) *Gauge {
-	f := g.register(name, help, kindGauge, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.single == nil {
-		f.single = &Gauge{}
-	}
-	return f.single.(*Gauge)
-}
-
 // gaugeFunc samples a callback at exposition time — for values some
-// other subsystem already tracks (admission load, say) where mirroring
-// them into a Gauge would just invite drift.
+// other subsystem already tracks (admission load, say), so a gauge can
+// never drift from its source.
 type gaugeFunc struct{ fn func() int64 }
 
 func (g gaugeFunc) write(w io.Writer, fam *family, labelPairs string) {
@@ -240,24 +194,9 @@ var DefLatencyBuckets = []float64{
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 
-// ExpBuckets builds n exponential bucket bounds: start, start·factor,
-// start·factor², …
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket histogram with lock-free observation.
 // Bounds are inclusive upper bounds (Prometheus `le` semantics); an
-// implicit +Inf bucket catches everything above the last bound. Counts
-// and the running sum are plain sums, so Merge is order-independent.
+// implicit +Inf bucket catches everything above the last bound.
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1; last = +Inf
@@ -349,71 +288,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Merge folds o's observations into h. Merging is commutative and
-// associative — bucket counts and sums are plain sums — so shards can
-// combine in any order and reach identical totals. The bucket layouts
-// must match.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d buckets", len(h.bounds), len(o.bounds))
-	}
-	for i, b := range h.bounds {
-		if b != o.bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at %d (%g vs %g)", i, b, o.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i].Add(o.counts[i].Load())
-	}
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + o.Sum())
-		if h.sumBits.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear
-// interpolation inside the bucket holding the target rank. The
-// estimate's error is bounded by that bucket's width; values landing in
-// the +Inf bucket clamp to the last finite bound. Returns 0 with no
-// observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == len(h.bounds) { // +Inf bucket: clamp
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + frac*(h.bounds[i]-lower)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 func (h *Histogram) write(w io.Writer, fam *family, labelPairs string) {

@@ -5,26 +5,27 @@
 //
 // The layer has four pieces, all stdlib-only:
 //
-//   - Recorder / WorkerProbe: lock-free atomic live counters (nodes
-//     expanded with the LN vs BIT split, bicliques emitted, bitmaps built,
-//     per-worker busy/steal/park state, root-frontier cursor) that the
-//     engine hot paths update cheaply and any goroutine can snapshot
-//     mid-run without stopping workers.
+//   - Recorder / WorkerProbe: live per-worker counters (nodes expanded
+//     with the LN vs BIT split, bicliques emitted, bitmaps built, tasks,
+//     steals, root-frontier cursor) and busy/steal/park state that any
+//     goroutine can snapshot mid-run without stopping workers.
 //   - Sampler (sampler.go): a goroutine that periodically snapshots a
 //     Recorder, derives throughput and a root-frontier ETA, and emits
 //     structured JSONL events (run_start, sample, phase, worker_stall,
 //     run_end) through a pluggable Sink.
-//   - runtime/trace helpers (trace.go): region/log wrappers the engines
-//     use to annotate scheduler tasks and LN/BIT phases for `go tool
+//   - runtime/trace helper (trace.go): the region wrapper the engines
+//     use to annotate scheduler tasks and BIT subtrees for `go tool
 //     trace`.
 //   - /debug HTTP endpoint (http.go): expvar + net/http/pprof + a
 //     /debug/progress JSON view of the currently published Recorder.
 //
-// Cost contract: a nil *WorkerProbe (observability disabled, the default)
-// makes every probe method a predictable nil-check branch — measured < 5%
-// on the bench-smoke dataset and guarded by TestOverheadSmoke. Enabled,
-// each counter is one uncontended atomic add on a worker-private cache
-// line.
+// Cost contract: the engine counts every event once, with a plain
+// increment on a Counters field its worker owns, whether or not a
+// Recorder is attached. An attached Recorder adds only the publish: one
+// copy of the counters into atomics on a worker-private cache line at
+// each amortized stop-check poll (every tle.CheckEvery nodes, and at each
+// parallel task start). Nothing on the per-node path is atomic, and
+// TestOverheadSmoke guards the enabled-vs-disabled gap.
 package obs
 
 import (
@@ -71,81 +72,57 @@ func (s WorkerState) String() string {
 	}
 }
 
-// WorkerProbe carries one worker's live counters. Every method is safe on
-// a nil receiver (the disabled path) and safe for one writer (the owning
-// worker) with any number of concurrent snapshot readers. The struct is
-// padded so two workers' probes never share a cache line.
+// Counters are one worker's event counts. The owning worker keeps them as
+// plain fields — one increment per event, no atomics — and copies them to
+// its WorkerProbe with Publish; snapshots read the published copy.
+type Counters struct {
+	NodesLN    int64 // enumeration-tree nodes expanded in LN / list mode
+	NodesBit   int64 // nodes expanded inside bitmap (BIT) subtrees
+	Bicliques  int64 // maximal bicliques found by this worker
+	Bitmaps    int64 // bitmap CGs materialized
+	Promotions int64 // LN→BIT subtree promotions at the τ boundary
+	ArenaReuse int64 // spawn detach copies served from the node arena
+	Tasks      int64 // scheduler tasks run (parallel runs)
+	Steals     int64 // tasks run that another worker queued
+	Root       int64 // highest root (first-level V index) entered, +1
+}
+
+// WorkerProbe is one worker's published counters and scheduling state.
+// Every method is safe on a nil receiver (the disabled path) and safe for
+// one writer (the owning worker) with any number of concurrent snapshot
+// readers. The struct is padded so two workers' probes never share a
+// cache line.
 type WorkerProbe struct {
-	nodesLN    atomic.Int64 // enumeration-tree nodes expanded in LN / list mode
-	nodesBit   atomic.Int64 // nodes expanded inside bitmap (BIT) subtrees
-	bicliques  atomic.Int64 // maximal bicliques counted by this worker
-	bitmaps    atomic.Int64 // bitmap CGs materialized
-	promotes   atomic.Int64 // LN→BIT subtree promotions at the τ boundary
-	arenaReuse atomic.Int64 // spawn detach copies served from the node arena
-	tasks      atomic.Int64 // scheduler tasks executed (parallel runs)
-	steals     atomic.Int64 // tasks this worker stole from a sibling deque
-	root       atomic.Int64 // highest root (first-level V) index entered, +1
+	nodesLN    atomic.Int64
+	nodesBit   atomic.Int64
+	bicliques  atomic.Int64
+	bitmaps    atomic.Int64
+	promotes   atomic.Int64
+	arenaReuse atomic.Int64
+	tasks      atomic.Int64
+	steals     atomic.Int64
+	root       atomic.Int64
 	state      atomic.Int32 // WorkerState
 	_          [64]byte     // pad to keep neighboring probes off this line
 }
 
-// NodeLN counts one node expanded by the list-based procedures (Baseline,
-// LN, and the large-node half of Ada).
-func (p *WorkerProbe) NodeLN() {
-	if p != nil {
-		p.nodesLN.Add(1)
+// Publish makes c the worker's visible counts. The owner calls it at its
+// amortized stop-check poll and once more when it exits, so a snapshot
+// lags the worker by at most one poll quantum. Counts only grow, so
+// every published field is monotone.
+func (p *WorkerProbe) Publish(c *Counters) {
+	if p == nil {
+		return
 	}
-}
-
-// NodeBit counts one node expanded by the bitwise procedure.
-func (p *WorkerProbe) NodeBit() {
-	if p != nil {
-		p.nodesBit.Add(1)
-	}
-}
-
-// Biclique counts one maximal biclique reported by this worker.
-func (p *WorkerProbe) Biclique() {
-	if p != nil {
-		p.bicliques.Add(1)
-	}
-}
-
-// Bitmap counts one bitmap CG materialization.
-func (p *WorkerProbe) Bitmap() {
-	if p != nil {
-		p.bitmaps.Add(1)
-	}
-}
-
-// Promote counts one list-procedure subtree switching to the bitwise
-// procedure (LN→BIT promotion at the τ boundary).
-func (p *WorkerProbe) Promote() {
-	if p != nil {
-		p.promotes.Add(1)
-	}
-}
-
-// ArenaReuse counts one parallel spawn whose detach copy was served from
-// the worker's recycled-node arena instead of a fresh allocation.
-func (p *WorkerProbe) ArenaReuse() {
-	if p != nil {
-		p.arenaReuse.Add(1)
-	}
-}
-
-// TaskStart counts one scheduler task picked up by this worker.
-func (p *WorkerProbe) TaskStart() {
-	if p != nil {
-		p.tasks.Add(1)
-	}
-}
-
-// Steal counts one task this worker took from a sibling's deque.
-func (p *WorkerProbe) Steal() {
-	if p != nil {
-		p.steals.Add(1)
-	}
+	p.nodesLN.Store(c.NodesLN)
+	p.nodesBit.Store(c.NodesBit)
+	p.bicliques.Store(c.Bicliques)
+	p.bitmaps.Store(c.Bitmaps)
+	p.promotes.Store(c.Promotions)
+	p.arenaReuse.Store(c.ArenaReuse)
+	p.tasks.Store(c.Tasks)
+	p.steals.Store(c.Steals)
+	p.root.Store(c.Root)
 }
 
 // SetState publishes the worker's scheduling state.
@@ -153,18 +130,6 @@ func (p *WorkerProbe) SetState(s WorkerState) {
 	if p != nil {
 		p.state.Store(int32(s))
 	}
-}
-
-// RootAdvance records that root candidate v (first-level index into the
-// ordered V side) has been entered. The run-wide maximum over workers is
-// the enumeration-tree frontier the ETA estimate is derived from.
-func (p *WorkerProbe) RootAdvance(v int64) {
-	if p == nil {
-		return
-	}
-	// Only the root-loop worker writes this; a plain store of v+1 keeps the
-	// hot path to one atomic op (the loop is ascending, so it is monotone).
-	p.root.Store(v + 1)
 }
 
 // RunInfo is the static description of one enumeration run, supplied by
@@ -368,9 +333,10 @@ type WorkerSnap struct {
 }
 
 // Snapshot is a consistent-enough point-in-time view of a run: totals are
-// sums of per-worker atomic counters read without stopping the workers, so
-// individual rows may be skewed by in-flight updates, but every counter is
-// monotone non-decreasing over the life of a run.
+// sums of the counters each worker last published, read without stopping
+// the workers, so a row lags its worker by up to one poll quantum and
+// fields may come from different publishes, but every counter is monotone
+// non-decreasing over the life of a run.
 type Snapshot struct {
 	RunID     string  `json:"run_id"`
 	Algorithm string  `json:"algorithm,omitempty"`

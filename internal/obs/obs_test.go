@@ -7,18 +7,12 @@ import (
 	"repro/internal/tle"
 )
 
-// TestNilSafety: every probe and recorder method used on the engine hot
-// paths must be a no-op on a nil receiver — that IS the disabled path.
+// TestNilSafety: every probe and recorder method the engine calls must be
+// a no-op on a nil receiver — that IS the disabled path.
 func TestNilSafety(t *testing.T) {
 	var p *WorkerProbe
-	p.NodeLN()
-	p.NodeBit()
-	p.Biclique()
-	p.Bitmap()
-	p.TaskStart()
-	p.Steal()
+	p.Publish(&Counters{NodesLN: 1, Root: 7})
 	p.SetState(StateBusy)
-	p.RootAdvance(7)
 
 	var r *Recorder
 	r.RunBegin(RunConfig{Workers: 4})
@@ -40,16 +34,12 @@ func TestSnapshotSumsWorkers(t *testing.T) {
 
 	for w := 0; w < 3; w++ {
 		p := r.Worker(w)
-		for i := 0; i <= w; i++ {
-			p.NodeLN()
-			p.NodeBit()
-			p.Biclique()
-		}
-		p.Bitmap()
-		p.TaskStart()
-		p.Steal()
+		n := int64(w + 1)
+		p.Publish(&Counters{
+			NodesLN: n, NodesBit: n, Bicliques: n, Bitmaps: 1, Promotions: 1,
+			ArenaReuse: 1, Tasks: 1, Steals: 1, Root: int64(4*w) + 1,
+		})
 		p.SetState(StateBusy)
-		p.RootAdvance(int64(4 * w))
 	}
 
 	s := r.Snapshot()
@@ -62,10 +52,10 @@ func TestSnapshotSumsWorkers(t *testing.T) {
 	if s.NodesLN != 6 || s.NodesBit != 6 || s.Nodes != 12 {
 		t.Fatalf("node sums = ln %d bit %d total %d, want 6/6/12", s.NodesLN, s.NodesBit, s.Nodes)
 	}
-	if s.Bicliques != 6 || s.Bitmaps != 3 || s.Tasks != 3 || s.Steals != 3 {
+	if s.Bicliques != 6 || s.Bitmaps != 3 || s.BitPromotions != 3 || s.ArenaReuse != 3 || s.Tasks != 3 || s.Steals != 3 {
 		t.Fatalf("sums wrong: %+v", s)
 	}
-	if s.RootDone != 9 { // max over workers of RootAdvance(v)+1
+	if s.RootDone != 9 { // max over workers of the published Root
 		t.Fatalf("RootDone = %d, want 9", s.RootDone)
 	}
 	if s.RootTotal != 20 { // falls back to RunInfo.NV
@@ -98,12 +88,14 @@ func TestSnapshotMonotone(t *testing.T) {
 	r.RunBegin(RunConfig{Workers: 2, Frontier: 100})
 	p := r.Worker(1)
 	prev := r.Snapshot()
+	var c Counters
 	for i := 0; i < 50; i++ {
-		p.NodeLN()
+		c.NodesLN++
 		if i%3 == 0 {
-			p.Biclique()
+			c.Bicliques++
 		}
-		p.RootAdvance(int64(i))
+		c.Root = int64(i) + 1
+		p.Publish(&c)
 		cur := r.Snapshot()
 		if cur.Nodes < prev.Nodes || cur.Bicliques < prev.Bicliques || cur.RootDone < prev.RootDone {
 			t.Fatalf("snapshot regressed: %+v -> %+v", prev, cur)
@@ -144,7 +136,7 @@ func TestWorkerGrowsProbes(t *testing.T) {
 	if r.Worker(5) != p5 {
 		t.Fatal("Worker must be stable per index")
 	}
-	p5.NodeBit()
+	p5.Publish(&Counters{NodesBit: 1})
 	if s := r.Snapshot(); s.NodesBit != 1 || len(s.Workers) != 6 {
 		t.Fatalf("grown snapshot = %+v", s)
 	}

@@ -43,10 +43,12 @@ func TestSamplerEventSequence(t *testing.T) {
 
 	r.RunBegin(RunConfig{Workers: 1, Frontier: 100})
 	p := r.Worker(0)
+	var c Counters
 	for i := 0; i < 40; i++ {
-		p.NodeLN()
-		p.Biclique()
-		p.RootAdvance(int64(i))
+		c.NodesLN++
+		c.Bicliques++
+		c.Root = int64(i) + 1
+		p.Publish(&c)
 		time.Sleep(500 * time.Microsecond)
 	}
 	r.Finish("none")
@@ -106,11 +108,7 @@ func TestSamplerThroughputAndETA(t *testing.T) {
 	// Long interval: only the final forced sample fires, with a known delta.
 	stop := StartSampler(r, SamplerOptions{Interval: time.Hour, Sink: sink})
 	r.RunBegin(RunConfig{Workers: 1, Frontier: 10})
-	p := r.Worker(0)
-	for i := 0; i < 1000; i++ {
-		p.NodeBit()
-	}
-	p.RootAdvance(4) // RootDone 5 of 10
+	r.Worker(0).Publish(&Counters{NodesBit: 1000, Root: 5}) // RootDone 5 of 10
 	time.Sleep(5 * time.Millisecond)
 	stop()
 
@@ -198,14 +196,5 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestReadEventsRejectsGarbage(t *testing.T) {
 	if _, err := ReadEvents(strings.NewReader("{\"type\":\"sample\"}\nnot json\n")); err == nil {
 		t.Fatal("malformed line must error")
-	}
-}
-
-func TestMultiSink(t *testing.T) {
-	a, b := &collectSink{}, &collectSink{}
-	m := MultiSink(a, nil, b)
-	m.Emit(Event{Type: "sample"})
-	if len(a.all()) != 1 || len(b.all()) != 1 {
-		t.Fatal("MultiSink did not fan out")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"runtime/trace"
 )
 
-// runtime/trace wrappers: the engines annotate coarse units of work —
+// runtime/trace wrapper: the engines annotate coarse units of work —
 // scheduler tasks and bitmap (BIT) subtrees, not individual nodes — so
 // `go tool trace` shows where workers spend time and how steal/park
 // behavior lines up with the user-region timeline. Capture a trace live
@@ -14,19 +14,11 @@ import (
 //	curl -o run.trace 'http://ADDR/debug/pprof/trace?seconds=10'
 //	go tool trace run.trace
 //
-// All wrappers are no-ops costing one atomic load while tracing is off.
+// The wrapper costs one atomic load while tracing is off.
 
 // TraceRegion opens a named user region; while tracing is off the
 // returned region is runtime/trace's no-op singleton, so callers can
 // defer End unconditionally.
 func TraceRegion(name string) *trace.Region {
 	return trace.StartRegion(context.Background(), name)
-}
-
-// TraceLog records a one-shot trace event (category/message) when tracing
-// is enabled — used for scheduler steals, spawn declines, and stop trips.
-func TraceLog(category, message string) {
-	if trace.IsEnabled() {
-		trace.Log(context.Background(), category, message)
-	}
 }

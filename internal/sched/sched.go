@@ -42,22 +42,19 @@ const (
 )
 
 // Observer receives scheduler lifecycle callbacks. Implementations must be
-// fast and non-blocking (think: one atomic store) — WorkerStole in
-// particular can fire while the pool's own lock is held. A nil observer
-// costs one predictable branch per transition.
+// fast and non-blocking (think: one atomic store). A nil observer costs one
+// predictable branch per transition.
 type Observer interface {
 	// WorkerState reports worker w entering state s.
 	WorkerState(w int, s WorkerState)
-	// WorkerStole reports worker w taking a task from another deque.
-	WorkerStole(w int)
 }
 
-// Counters is a snapshot of the pool's scheduling statistics.
+// Counters is a snapshot of the pool's scheduling statistics. Steals are
+// not among them: a worker knows a task it did not queue when it runs it,
+// and counts the steal in its own counters.
 type Counters struct {
 	// Spawned counts every task pushed into the pool (seeds included).
 	Spawned int64
-	// Stolen counts tasks taken from a deque by a non-owner worker.
-	Stolen int64
 	// MaxQueueDepth is the highest single-deque occupancy observed.
 	MaxQueueDepth int64
 }
@@ -88,7 +85,6 @@ type Pool[T any] struct {
 	cond *sync.Cond
 
 	spawned  atomic.Int64
-	stolen   atomic.Int64
 	maxDepth atomic.Int64
 
 	obs Observer
@@ -247,10 +243,6 @@ func (p *Pool[T]) take(w int) (T, bool) {
 			continue
 		}
 		if t, ok := p.deques[v].stealTop(); ok {
-			p.stolen.Add(1)
-			if p.obs != nil {
-				p.obs.WorkerStole(w)
-			}
 			return t, true
 		}
 	}
@@ -341,7 +333,6 @@ func (p *Pool[T]) TaskDone() {
 func (p *Pool[T]) Counters() Counters {
 	return Counters{
 		Spawned:       p.spawned.Load(),
-		Stolen:        p.stolen.Load(),
 		MaxQueueDepth: p.maxDepth.Load(),
 	}
 }

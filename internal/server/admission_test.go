@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,6 +118,44 @@ func TestMemoryBudgetSheds(t *testing.T) {
 		t.Fatalf("first submit: %d", resp.StatusCode)
 	}
 	expectShed(t, d, server.JobSpec{GraphID: id, Threads: 1, Seed: 9, Ordering: "rand"}, "memory budget")
+}
+
+// TestMemoryTripShedsEngineWidth: a job that blows its memory budget is
+// retried at half width only while the engine has parallelism to shed. A
+// serial engine asked for 4 threads runs one worker, so its trip is
+// terminal at once; ParAdaMBE sheds 4 → 2 → 1 before failing.
+func TestMemoryTripShedsEngineWidth(t *testing.T) {
+	for _, tc := range []struct {
+		algorithm       string
+		attempts, sheds int
+		effective       int
+	}{
+		{"AdaMBE", 1, 0, 0},
+		{"BBK", 1, 0, 0},
+		{"ParAdaMBE", 3, 2, 1},
+	} {
+		t.Run(tc.algorithm, func(t *testing.T) {
+			d := startDaemon(t, server.Config{
+				CheckpointEvery: 5 * time.Millisecond,
+				Backoff:         server.Backoff{Base: time.Millisecond, Jitter: server.NoJitter},
+			})
+			id := d.submitGraph(bigGraph())
+			sub, resp := d.submitJob(server.JobSpec{GraphID: id, Algorithm: tc.algorithm, Threads: 4, MaxMemoryBytes: 4096})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: %d", resp.StatusCode)
+			}
+			m := d.wait(sub.JobID, time.Minute)
+			if m.State != server.JobFailed || !strings.Contains(m.Error, "memory budget exceeded at minimum parallelism") {
+				t.Fatalf("state = %s (error %q), want failed at minimum parallelism", m.State, m.Error)
+			}
+			if m.Attempts != tc.attempts || m.EffectiveThreads != tc.effective {
+				t.Errorf("attempts = %d, effective threads = %d; want %d, %d", m.Attempts, m.EffectiveThreads, tc.attempts, tc.effective)
+			}
+			if got := d.scrapeMetrics()["mbed_parallelism_sheds_total"]; got != float64(tc.sheds) {
+				t.Errorf("mbed_parallelism_sheds_total = %v, want %d", got, tc.sheds)
+			}
+		})
+	}
 }
 
 // TestRateLimitSheds: the token bucket sheds submit-side requests (both

@@ -9,6 +9,7 @@ import (
 
 	mbe "repro"
 	"repro/internal/ckpt"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/spool"
 )
@@ -139,6 +140,11 @@ func (s *Server) attempt(jobCtx context.Context, j *job, g *mbe.Graph, try int) 
 	j.stateSince = time.Now()
 	m := j.m
 	j.mu.Unlock()
+	// The engine's width, not the requested count: a serial engine asked
+	// for threads still runs one worker, so it reports one and has no
+	// parallelism for a memory-budget retry to shed.
+	alg, _ := mbe.ParseAlgorithm(spec.Algorithm) // validated at submit
+	threads = engine.ID(alg).Width(threads)
 
 	if !time.Now().Before(deadline) {
 		return mbe.Result{}, Permanent(fmt.Errorf("%w (budget spent across %d attempts)", errJobDeadline, try))
@@ -157,11 +163,10 @@ func (s *Server) attempt(jobCtx context.Context, j *job, g *mbe.Graph, try int) 
 		}
 	}
 
-	alg, _ := mbe.ParseAlgorithm(spec.Algorithm) // validated at submit
 	ord, _ := mbe.ParseOrdering(spec.Ordering)
 	spoolDir := s.store.SpoolDir(j.m.ID)
 	rec := mbe.NewRecorder(mbe.RunInfo{
-		Algorithm: alg.String(), Dataset: "job:" + j.m.ID, Threads: max(threads, 1),
+		Algorithm: alg.String(), Dataset: "job:" + j.m.ID, Threads: threads,
 		NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(),
 	})
 	j.mu.Lock()

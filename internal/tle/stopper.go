@@ -81,17 +81,24 @@ type Config struct {
 	// MaxMemoryBytes, if positive, stops the run once the Shared memory
 	// gauge exceeds it.
 	MaxMemoryBytes int64
+	// OnPoll, if non-nil, runs at every poll of the stop conditions — the
+	// first Hit, then once per CheckEvery hits, and every Poll — on the
+	// worker's own goroutine. It arms the stopper by itself, so it fires
+	// without a deadline, context or budget. The engines publish their
+	// live counters from it.
+	OnPoll func()
 }
 
 // Stopper folds deadline, context cancellation, the soft memory budget and
-// sibling-worker aborts into the same amortized Hit check Deadline
-// provides: engines call Hit on every node and the (comparatively
-// expensive) clock/channel/atomic polls run once per CheckEvery calls.
+// sibling-worker aborts into one amortized Hit check: engines call Hit on
+// every node and the (comparatively expensive) clock/channel/atomic polls
+// run once per CheckEvery calls.
 // A Stopper belongs to one worker goroutine; workers of the same run share
 // a *Shared so the first stop observed by any of them reaches all.
 type Stopper struct {
 	shared *Shared
 	done   <-chan struct{}
+	onPoll func()
 	at     time.Time
 	budget int64
 	timed  bool
@@ -105,18 +112,19 @@ type Stopper struct {
 func NewStopper(shared *Shared, cfg Config) Stopper {
 	s := Stopper{
 		shared: shared,
+		onPoll: cfg.OnPoll,
 		at:     cfg.Deadline,
 		budget: cfg.MaxMemoryBytes,
 		timed:  !cfg.Deadline.IsZero(),
-		// As with Deadline, start one short of the threshold so the very
-		// first Hit polls: an already-expired deadline or already-canceled
-		// context stops the run before any work happens.
+		// Start one short of the threshold so the very first Hit polls: an
+		// already-expired deadline or already-canceled context stops the
+		// run before any work happens.
 		hits: CheckEvery - 1,
 	}
 	if cfg.Context != nil {
 		s.done = cfg.Context.Done()
 	}
-	s.armed = s.timed || s.done != nil || s.budget > 0 || shared != nil
+	s.armed = s.timed || s.done != nil || s.budget > 0 || shared != nil || s.onPoll != nil
 	return s
 }
 
@@ -138,6 +146,9 @@ func (s *Stopper) Hit() bool {
 }
 
 func (s *Stopper) poll() bool {
+	if s.onPoll != nil {
+		s.onPoll()
+	}
 	if s.shared != nil {
 		if r := s.shared.Reason(); r != None {
 			s.reason = r

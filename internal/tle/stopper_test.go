@@ -7,14 +7,21 @@ import (
 )
 
 func TestStopperZeroConfigNeverStops(t *testing.T) {
-	s := NewStopper(nil, Config{})
-	for i := 0; i < 3*CheckEvery; i++ {
-		if s.Hit() {
-			t.Fatalf("unarmed stopper stopped at hit %d", i)
+	polls := 0
+	for _, cfg := range []Config{{}, {OnPoll: func() { polls++ }}} {
+		s := NewStopper(nil, cfg)
+		for i := 0; i < 3*CheckEvery; i++ {
+			if s.Hit() {
+				t.Fatalf("stopper without stop conditions stopped at hit %d", i)
+			}
+		}
+		if s.Stopped() || s.Reason() != None {
+			t.Fatalf("stopper without stop conditions: Stopped=%v Reason=%v", s.Stopped(), s.Reason())
 		}
 	}
-	if s.Stopped() || s.Reason() != None {
-		t.Fatalf("unarmed stopper: Stopped=%v Reason=%v", s.Stopped(), s.Reason())
+	// OnPoll alone arms the stopper: it fires at the usual cadence.
+	if polls != 3 {
+		t.Fatalf("OnPoll fired %d times in 3·CheckEvery hits, want 3", polls)
 	}
 }
 
@@ -28,6 +35,74 @@ func TestStopperPreExpiredDeadlineStopsOnFirstHit(t *testing.T) {
 	}
 	if !s.Hit() || !s.Stopped() {
 		t.Fatal("stop must be sticky")
+	}
+}
+
+func TestFutureDeadlineDoesNotHit(t *testing.T) {
+	s := NewStopper(nil, Config{Deadline: time.Now().Add(time.Hour)})
+	for i := 0; i < 3*CheckEvery; i++ {
+		if s.Hit() {
+			t.Fatal("future deadline hit")
+		}
+	}
+}
+
+func TestDeadlineEventuallyHits(t *testing.T) {
+	s := NewStopper(nil, Config{Deadline: time.Now().Add(20 * time.Millisecond)})
+	deadline := time.Now().Add(5 * time.Second)
+	for !s.Hit() {
+		if time.Now().After(deadline) {
+			t.Fatal("deadline never hit")
+		}
+	}
+	if s.Reason() != DeadlineExceeded {
+		t.Fatalf("Reason = %v, want DeadlineExceeded", s.Reason())
+	}
+}
+
+// TestAmortizedPolling pins the poll cadence: the stop conditions — and
+// the OnPoll callback with them — are consulted on the first Hit, then
+// once per CheckEvery hits, and on every Poll. Between polls Hit must be
+// false even after the wall clock passes the deadline.
+func TestAmortizedPolling(t *testing.T) {
+	polls := 0
+	s := NewStopper(nil, Config{
+		Deadline: time.Now().Add(50 * time.Millisecond),
+		OnPoll:   func() { polls++ },
+	})
+	if s.Hit() {
+		t.Fatal("hit immediately")
+	}
+	if polls != 1 {
+		t.Fatalf("first Hit polled %d times, want 1", polls)
+	}
+	for i := 0; i < CheckEvery; i++ {
+		if s.Hit() {
+			t.Fatalf("stopped before the deadline at hit %d", i)
+		}
+		if want := 1 + (i+1)/CheckEvery; polls != want {
+			t.Fatalf("after %d more hits: %d polls, want %d", i+1, polls, want)
+		}
+	}
+	if s.Poll() || polls != 3 {
+		t.Fatalf("Poll: stopped early or did not poll (%d polls, want 3)", polls)
+	}
+	time.Sleep(60 * time.Millisecond)
+	// The deadline has passed, but the next poll happens only after
+	// CheckEvery-1 more hits (Poll restarted the quantum).
+	for i := 0; i < CheckEvery-1; i++ {
+		if s.Hit() {
+			t.Fatalf("polled too early at hit %d", i)
+		}
+	}
+	if polls != 3 {
+		t.Fatalf("%d polls between quanta, want 3", polls)
+	}
+	if !s.Hit() {
+		t.Fatal("poll did not happen at the CheckEvery boundary")
+	}
+	if polls != 4 {
+		t.Fatalf("%d polls after the boundary, want 4", polls)
 	}
 }
 

@@ -1,46 +1,8 @@
-// Package tle implements amortized wall-clock budget checks ("Time Limit
-// Exceeded" in the paper's protocol, §IV-A): enumeration engines call Hit
-// on every node and the clock is polled only once per CheckEvery calls.
+// Package tle implements amortized stop checks ("Time Limit Exceeded" in
+// the paper's protocol, §IV-A): enumeration engines call Stopper.Hit on
+// every node, and the clock, context and memory gauge are polled only
+// once per CheckEvery calls.
 package tle
 
-import "time"
-
-// CheckEvery is how many Hit calls elapse between clock polls.
+// CheckEvery is how many Hit calls elapse between polls.
 const CheckEvery = 4096
-
-// Deadline tracks an optional wall-clock budget. The zero value is a
-// disabled deadline; construct with New.
-type Deadline struct {
-	at      time.Time
-	enabled bool
-	hits    int
-	expired bool
-}
-
-// New returns a Deadline for the given instant; a zero instant disables it.
-func New(at time.Time) Deadline {
-	// hits starts one short of the threshold so the very first Hit polls
-	// the clock; an already-expired deadline then stops the run at once.
-	return Deadline{at: at, enabled: !at.IsZero(), hits: CheckEvery - 1}
-}
-
-// Hit reports whether the budget is exhausted, polling the clock lazily.
-func (d *Deadline) Hit() bool {
-	if !d.enabled {
-		return false
-	}
-	if d.expired {
-		return true
-	}
-	d.hits++
-	if d.hits >= CheckEvery {
-		d.hits = 0
-		if time.Now().After(d.at) {
-			d.expired = true
-		}
-	}
-	return d.expired
-}
-
-// Expired reports whether a previous Hit observed an exceeded budget.
-func (d *Deadline) Expired() bool { return d.expired }
