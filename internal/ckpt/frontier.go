@@ -6,11 +6,15 @@ import "sync"
 // fully finished. It satisfies core's FrontierObserver interface
 // structurally (this package never imports core).
 //
-// The engine's root loop runs on one worker and completes roots' inline
-// work in strictly ascending order; subtree tasks it spawns (tagged
-// with their root) finish in arbitrary order on arbitrary workers. A
-// root is done when its inline pass is done AND it has no outstanding
-// spawned tasks, so the watermark — the first not-fully-done root — is
+// A serial root loop completes roots' inline work in strictly
+// ascending order. Parallel root loops claim roots one at a time, in
+// ascending order, and finish them in any order: each claim registers
+// as an outstanding task of its root (TaskSpawned, then RootInlineDone,
+// at claim time) and ends with TaskDone or TaskDiscarded. Subtree tasks
+// (tagged with their root) finish in arbitrary order on arbitrary
+// workers. A root is done when its inline pass is done AND it has no
+// outstanding tasks, so the watermark — the first not-fully-done root —
+// is
 //
 //	min(inlineDone, min{ r : outstanding[r] > 0 })
 //
@@ -48,9 +52,11 @@ func NewFrontier(start, nv int32) *Frontier {
 	}
 }
 
-// RootInlineDone records that root's inline pass finished. Roots
-// complete inline in ascending order; a skipped root (degree 0, pruned,
-// subtree filter) still reports here when the loop moves past it.
+// RootInlineDone records that root's inline pass finished — or, for a
+// parallel root claim, that the claim was registered as an outstanding
+// task. Either way roots report here in ascending order; a skipped root
+// (degree 0, pruned, subtree filter) still reports when the loop moves
+// past it.
 func (f *Frontier) RootInlineDone(root int32) {
 	f.mu.Lock()
 	if root+1 > f.inlineDone {

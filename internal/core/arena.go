@@ -22,8 +22,9 @@ type detachedNode struct {
 	// mem is the footprint charged to the run's memory gauge at spawn,
 	// released when the task completes (or is discarded during a drain).
 	mem int64
-	// isRoot marks the seed task: the receiving worker runs the two-hop
-	// root loop instead of searchLN.
+	// isRoot marks a root task (one is seeded per worker): the receiving
+	// worker runs the LN root loop over roots it claims from the run's
+	// cursor instead of searchLN.
 	isRoot bool
 
 	// Retained backing storage, reused across arena recycles: flat holds
@@ -60,9 +61,12 @@ func (n *detachedNode) memBytes() int64 {
 // (and every completion defer: frontier report, gauge release) has
 // finished with it. Steady state spawns allocate nothing.
 //
-// Owned by a single worker goroutine; never shared. Retained capacity is
-// not charged to the run's memory gauge: it is bounded by the peak live
-// detached footprint, which was charged (per node, while live) at its peak.
+// Owned by a single worker goroutine; never shared. A worker parks at most
+// parallelQueueCap shells — the most of its own nodes it can ever have
+// queued — and leaves the rest to the GC: a thief runs far more tasks than
+// it spawns, and an uncapped list would keep every node it ever ran. The
+// parked shells' retained buffers are not charged to the run's memory
+// gauge; the cap is what bounds them.
 type nodeArena struct {
 	free        sched.FreeList[detachedNode]
 	bytesReused int64
@@ -126,10 +130,13 @@ func (a *nodeArena) detach(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []
 	return n, reused
 }
 
-// recycle parks a finished node for reuse. Must only be called after every
-// reference from the task's execution (runTask and its defers) is dead.
+// recycle parks a finished node for reuse, up to parallelQueueCap parked
+// nodes. Must only be called after every reference from the task's
+// execution (runTask and its defers) is dead.
 func (a *nodeArena) recycle(n *detachedNode) {
-	a.free.Put(n)
+	if a.free.Len() < parallelQueueCap {
+		a.free.Put(n)
+	}
 }
 
 // stats folds the arena's counters into a worker's metrics at merge time.

@@ -117,3 +117,18 @@ func TestArenaParallelRecycling(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaRecycleCapped: a worker that runs far more tasks than it
+// spawns (a thief) must not park every node it ran. The free list stops
+// at parallelQueueCap, the most of its own nodes a worker can ever have
+// queued, and the rest go to the GC.
+func TestArenaRecycleCapped(t *testing.T) {
+	var a nodeArena
+	recycled := 3 * parallelQueueCap
+	for i := 0; i < recycled; i++ {
+		a.recycle(&detachedNode{flat: make([]int32, 16)})
+	}
+	if n := a.free.Len(); n != parallelQueueCap {
+		t.Fatalf("free list parks %d nodes after %d recycles, want the cap %d", n, recycled, parallelQueueCap)
+	}
+}

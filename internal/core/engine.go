@@ -192,14 +192,19 @@ func (e *engine) faultStep(site string) {
 	}
 }
 
-// run executes the configured variant from the root node (U, ∅, V).
+// run executes the configured variant from the root node (U, ∅, V) on a
+// serial run: the LN engines take every root in one claim.
 func (e *engine) run() {
 	start := time.Now()
+	if e.collect {
+		e.metrics.observeNode(len(e.allU), e.g.NV())
+	}
 	switch e.variant {
 	case Baseline, BIT:
 		e.runGlobalRoot()
 	case LN, Ada:
-		e.runLNRoot()
+		nv := e.g.NV()
+		e.runLNRoot(newRootCursor(e.startRoot, e.rootLimit(nv), nv, false, nil, e.chargeMem))
 	}
 	if e.collect {
 		e.metrics.LargeNodeTime = time.Since(start) - e.metrics.SmallNodeTime
@@ -220,10 +225,11 @@ type rootScratch struct {
 }
 
 // gatherTwoHop fills rs with the distinct two-hop neighbors of vp, split
-// around vp, using the engine's epoch stamps. skip marks vertices to omit
-// entirely (pruned root candidates); it may be nil. The suffix is returned
-// sorted ascending so candidate order matches the sequential semantics.
-func (e *engine) gatherTwoHop(vp int32, lq []int32, skip []bool, rs *rootScratch) {
+// around vp, using the engine's epoch stamps. With a cursor, vertices it
+// records as dominated below vp are omitted entirely (pruned root
+// candidates); rc may be nil. The suffix is returned sorted ascending so
+// candidate order matches the sequential semantics.
+func (e *engine) gatherTwoHop(vp int32, lq []int32, rc *rootCursor, rs *rootScratch) {
 	epoch := e.stampEpoch()
 	rs.suffix = rs.suffix[:0]
 	rs.prefix = rs.prefix[:0]
@@ -233,7 +239,7 @@ func (e *engine) gatherTwoHop(vp int32, lq []int32, skip []bool, rs *rootScratch
 				continue
 			}
 			e.vMark[w] = epoch
-			if skip != nil && skip[w] {
+			if rc != nil && rc.dominated(w, vp) {
 				continue
 			}
 			if w > vp {
@@ -260,12 +266,8 @@ func (e *engine) rootLimit(nv int) int32 {
 // two-hop neighborhood and recurse with searchGlobal.
 func (e *engine) runGlobalRoot() {
 	g := e.g
-	nv := g.NV()
-	if e.collect {
-		e.metrics.observeNode(len(e.allU), nv)
-	}
 	var rs rootScratch
-	for vp, limit := e.startRoot, e.rootLimit(nv); vp < limit; vp++ {
+	for vp, limit := e.startRoot, e.rootLimit(g.NV()); vp < limit; vp++ {
 		e.ctr.Root = int64(vp) + 1
 		if g.DegV(vp) == 0 {
 			e.rootDone(vp)
@@ -328,123 +330,146 @@ func (e *engine) runGlobalRoot() {
 	}
 }
 
-// runLNRoot runs the root loop of the LN engines: children are generated
+// runLNRoot runs the root loop of the LN engines over the roots it claims
+// from rc, until none are left or the run stops: children are generated
 // from two-hop neighborhoods, their local-neighborhood caches are
-// materialized, and the LN pruning rule applies across root candidates.
-func (e *engine) runLNRoot() {
-	g := e.g
-	nv := g.NV()
-	if e.collect {
-		e.metrics.observeNode(len(e.allU), nv)
-	}
-	pruned := make([]bool, nv)
-	e.chargeMem(int64(nv))
+// materialized, and the LN pruning rule applies across root candidates
+// through rc's run-wide domination record. A serial run makes one claim
+// covering every root; a ParAdaMBE root task claims one root at a time.
+func (e *engine) runLNRoot(rc *rootCursor) {
 	var rs rootScratch
-	for vp, limit := e.startRoot, e.rootLimit(nv); vp < limit; vp++ {
-		e.ctr.Root = int64(vp) + 1
-		if g.DegV(vp) == 0 || pruned[vp] {
-			e.rootDone(vp)
-			continue
-		}
-		if e.stop.Hit() {
+	for {
+		lo, hi := rc.claim()
+		if lo == hi {
 			return
 		}
-		e.curRoot = vp
-		e.faultStep(SiteRoot)
-		lq := g.NeighborsOfV(vp)
-		if e.skipChild != nil && e.skipChild(len(lq)) {
-			e.rootDone(vp)
-			continue
+		for vp := lo; vp < hi; vp++ {
+			if e.lnRoot(rc, vp, &rs) {
+				return
+			}
 		}
-		e.gatherTwoHop(vp, lq, pruned, &rs)
-		ep := e.stampL(lq)
+	}
+}
 
-		idMark := e.ids.Mark()
-		hdrMark := e.hdrs.Mark()
-		rq := e.ids.Alloc(1 + len(rs.suffix))
-		rq[0] = vp
-		nr := 1
-		cqIDs := e.ids.Alloc(len(rs.suffix))
-		cqNbrs := e.hdrs.Alloc(len(rs.suffix))
-		nc := 0
-		for _, vc := range rs.suffix {
-			nb := g.NeighborsOfV(vc) // root local neighborhood = N(v_c)
-			buf := e.ids.Alloc(min(len(lq), len(nb)))
-			m := e.localIntersect(buf, lq, nb, ep)
-			e.ids.ShrinkLast(len(buf), m)
-			if e.collect {
-				e.metrics.SetIntersections++
-				e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
-			}
-			if m == len(nb) {
-				pruned[vc] = true
-				if e.collect {
-					e.metrics.NodesPruned++
-				}
-			}
-			switch {
-			case m == len(lq):
-				rq[nr] = vc
-				nr++
-				e.ids.ShrinkLast(m, 0)
-			default: // m > 0 by two-hop membership
-				cqIDs[nc] = vc
-				cqNbrs[nc] = buf[:m]
-				nc++
-			}
-		}
-
-		maximal := true
-		exIDs := e.ids.Alloc(len(rs.prefix))
-		exNbrs := e.hdrs.Alloc(len(rs.prefix))
-		nx := 0
-		for _, x := range rs.prefix {
-			nb := g.NeighborsOfV(x)
-			buf := e.ids.Alloc(min(len(lq), len(nb)))
-			m := e.localIntersect(buf, lq, nb, ep)
-			e.ids.ShrinkLast(len(buf), m)
-			if e.collect {
-				e.metrics.SetIntersections++
-				e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
-			}
-			if m == len(lq) {
-				maximal = false
-				break
-			}
-			if m > 0 {
-				exIDs[nx] = x
-				exNbrs[nx] = buf[:m]
-				nx++
-			}
-		}
-
-		e.ctr.NodesLN++
-		if maximal {
-			if e.collect {
-				e.metrics.observeNode(len(lq), nc)
-			}
-			e.emit(lq, rq[:nr])
-			if nc > 0 && (e.skipSubtree == nil || !e.skipSubtree(len(lq), nr, nc)) {
-				if e.spawn != nil &&
-					e.spawn(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1) {
-					// Subtree handed to the parallel scheduler.
-				} else {
-					t0, timed := e.enterSmallTimer(len(lq))
-					e.searchLN(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1)
-					e.exitSmallTimer(t0, timed)
-				}
-			}
-		}
-		e.ids.Release(idMark)
-		e.hdrs.Release(hdrMark)
-		// Mirror of runGlobalRoot: never report a stop-interrupted root as
-		// inline-done — its durable output may be partial, and the resume
-		// protocol only re-enumerates roots at or above the watermark.
+// lnRoot runs root vp of a claim and reports whether the run stopped. On
+// a run-wide claim, a stop observed mid-subtree leaves vp unreported, so
+// the checkpoint watermark stays below it and a resume re-enumerates the
+// whole root (rootDone contract). A one-root claim is released instead:
+// discarded when the run is stopping or the expansion panicked. Its
+// forced Poll, as at the end of a parallel task, sees sibling trips the
+// local stopper has not observed yet — conservatively discarding a root
+// that did complete is safe; the converse would corrupt resume.
+func (e *engine) lnRoot(rc *rootCursor, vp int32, rs *rootScratch) (stopped bool) {
+	e.ctr.Root = int64(vp) + 1
+	if !rc.perRoot {
+		e.expandLNRoot(rc, vp, rs)
 		if e.stop.Stopped() {
-			return
+			return true
 		}
 		e.rootDone(vp)
+		return false
 	}
+	stopped = true // until the expansion returns
+	defer func() { rc.release(vp, stopped) }()
+	e.expandLNRoot(rc, vp, rs)
+	stopped = e.stop.Poll()
+	return stopped
+}
+
+// expandLNRoot generates root vp's first-level node and searches its
+// subtree, unless vp is skipped (degree 0, dominated, or the SkipChild
+// filter) or the run is stopping.
+func (e *engine) expandLNRoot(rc *rootCursor, vp int32, rs *rootScratch) {
+	g := e.g
+	if g.DegV(vp) == 0 || rc.dominated(vp, vp) {
+		return
+	}
+	if e.stop.Hit() {
+		return
+	}
+	e.curRoot = vp
+	e.faultStep(SiteRoot)
+	lq := g.NeighborsOfV(vp)
+	if e.skipChild != nil && e.skipChild(len(lq)) {
+		return
+	}
+	e.gatherTwoHop(vp, lq, rc, rs)
+	ep := e.stampL(lq)
+
+	idMark := e.ids.Mark()
+	hdrMark := e.hdrs.Mark()
+	defer e.ids.Release(idMark)
+	defer e.hdrs.Release(hdrMark)
+	rq := e.ids.Alloc(1 + len(rs.suffix))
+	rq[0] = vp
+	nr := 1
+	cqIDs := e.ids.Alloc(len(rs.suffix))
+	cqNbrs := e.hdrs.Alloc(len(rs.suffix))
+	nc := 0
+	for _, vc := range rs.suffix {
+		nb := g.NeighborsOfV(vc) // root local neighborhood = N(v_c)
+		buf := e.ids.Alloc(min(len(lq), len(nb)))
+		m := e.localIntersect(buf, lq, nb, ep)
+		e.ids.ShrinkLast(len(buf), m)
+		if e.collect {
+			e.metrics.SetIntersections++
+			e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
+		}
+		if m == len(nb) {
+			rc.recordDominator(vc, vp)
+			if e.collect {
+				e.metrics.NodesPruned++
+			}
+		}
+		switch {
+		case m == len(lq):
+			rq[nr] = vc
+			nr++
+			e.ids.ShrinkLast(m, 0)
+		default: // m > 0 by two-hop membership
+			cqIDs[nc] = vc
+			cqNbrs[nc] = buf[:m]
+			nc++
+		}
+	}
+
+	e.ctr.NodesLN++ // generated, maximal or not
+	exIDs := e.ids.Alloc(len(rs.prefix))
+	exNbrs := e.hdrs.Alloc(len(rs.prefix))
+	nx := 0
+	for _, x := range rs.prefix {
+		nb := g.NeighborsOfV(x)
+		buf := e.ids.Alloc(min(len(lq), len(nb)))
+		m := e.localIntersect(buf, lq, nb, ep)
+		e.ids.ShrinkLast(len(buf), m)
+		if e.collect {
+			e.metrics.SetIntersections++
+			e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
+		}
+		if m == len(lq) {
+			return // x ∈ Γ(L') but x < vp: not maximal
+		}
+		if m > 0 {
+			exIDs[nx] = x
+			exNbrs[nx] = buf[:m]
+			nx++
+		}
+	}
+
+	if e.collect {
+		e.metrics.observeNode(len(lq), nc)
+	}
+	e.emit(lq, rq[:nr])
+	if nc == 0 || (e.skipSubtree != nil && e.skipSubtree(len(lq), nr, nc)) {
+		return
+	}
+	if e.spawn != nil &&
+		e.spawn(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1) {
+		return // subtree handed to the parallel scheduler
+	}
+	t0, timed := e.enterSmallTimer(len(lq))
+	e.searchLN(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1)
+	e.exitSmallTimer(t0, timed)
 }
 
 // emit reports one maximal biclique.
@@ -459,10 +484,11 @@ func (e *engine) emit(L, R []int32) {
 }
 
 // rootDone reports that root vp's inline pass is finished — every path
-// that advances the root loop past vp (including degree-0, pruned, and
-// skip-filter shortcuts) must land here, because the frontier watermark
-// treats an unreported root as still in flight. Stop paths return
-// without reporting: an interrupted root stays below the watermark.
+// that advances a serial root loop past vp (including degree-0, pruned,
+// and skip-filter shortcuts) must land here, because the frontier
+// watermark treats an unreported root as still in flight. Stop paths
+// return without reporting: an interrupted root stays below the
+// watermark. A one-root claim reports through its cursor instead.
 func (e *engine) rootDone(vp int32) {
 	if e.frontier != nil {
 		e.frontier.RootInlineDone(vp)

@@ -90,9 +90,12 @@ func shouldSpawn(pool *sched.Pool[*detachedNode], w, nCand int) bool {
 // workers steal the oldest), the adaptive spawn cutoff above, and
 // reservation-before-copy — sched.Pool.CanPush is a guaranteed
 // reservation, so the arena detach deep-copy is only ever paid for a subtree
-// that will actually be queued. Spawn decisions never change the
-// enumerated set (a declined offer recurses inline with identical
-// semantics), so counts and bicliques are bit-identical to the serial
+// that will actually be queued. Every worker starts in the LN root loop,
+// claiming first-level roots one at a time from one run-wide cursor, so
+// the two-hop gathering and first-level intersections are shared too.
+// Neither spawn decisions (a declined offer recurses inline with
+// identical semantics) nor the order roots finish in change the
+// enumerated set, so counts and bicliques are bit-identical to the serial
 // engine.
 //
 // Emission: with a handler attached, each worker buffers its bicliques in
@@ -115,10 +118,16 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 	if opts.Obs != nil {
 		pool.SetObserver(poolObserver{rec: opts.Obs})
 	}
-	// Seed with a root marker: the worker that picks it up runs the
-	// two-hop root loop, spawning every first-level subtree as a task.
-	// Seed queues it on worker 0's deque, matching its zero owner.
-	pool.Seed(&detachedNode{isRoot: true})
+	// Seed one root task per worker, on that worker's own deque. Each root
+	// task runs the LN root loop over roots it claims one at a time from
+	// the run-wide cursor; once the cursor is exhausted its worker drains
+	// subtrees like any other.
+	roots := newRootCursor(opts.StartRoot, rootFrontierEnd(opts, g.NV()), g.NV(), true, opts.Frontier, shared.AddMem)
+	seeds := make([]*detachedNode, threads)
+	for w := range seeds {
+		seeds[w] = &detachedNode{isRoot: true, owner: w}
+	}
+	pool.Seed(seeds...)
 
 	var workers sync.WaitGroup
 	var total atomic.Int64
@@ -249,7 +258,7 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 					return
 				}
 				if n.isRoot {
-					e.runLNRoot()
+					e.runLNRoot(roots)
 				} else {
 					e.curRoot = n.root
 					e.searchLN(n.L, n.R, n.candIDs, n.candNbrs, n.exclIDs, n.exclNbrs, n.depth)
@@ -267,8 +276,8 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				// not retain its argument slices and spawn deep-copies into a
 				// fresh node, so the shell and its backing buffers are free to
 				// reuse. Ownership follows the task: nodes this worker runs —
-				// its own pops and its steals alike — land in its arena. The
-				// root marker recycles harmlessly (empty buffers).
+				// its own pops and its steals alike — land in its arena. Root
+				// task markers recycle harmlessly (empty buffers).
 				e.arena.recycle(n)
 			}
 		}(w)
@@ -276,6 +285,7 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 	workers.Wait()
 
 	if opts.Metrics != nil {
+		opts.Metrics.observeNode(g.NU(), g.NV()) // the root node, once per run
 		c := pool.Counters()
 		opts.Metrics.TasksSpawned += c.Spawned
 		if c.MaxQueueDepth > opts.Metrics.MaxQueueDepth {

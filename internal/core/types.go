@@ -81,13 +81,17 @@ type Sink interface {
 }
 
 // FrontierObserver tracks root-subtree completion for checkpointing.
-// The engine guarantees: RootInlineDone(r) fires when the root loop
-// finishes root r's inline pass (ascending order, exactly once per root
-// at or above StartRoot, on every skip path too); TaskSpawned(r) fires
-// BEFORE a subtree task tagged r enters the scheduler; each spawned
-// task fires exactly one of TaskDone (subtree fully enumerated) or
-// TaskDiscarded (the run is stopping and the subtree is incomplete).
-// Implementations must be safe for concurrent use. See internal/ckpt.
+// The engine guarantees: a serial root loop fires RootInlineDone(r) when
+// it finishes root r's inline pass (ascending order, exactly once per
+// root at or above StartRoot, on every skip path too). ParAdaMBE workers
+// instead claim roots one at a time and finish them in any order: a
+// claim of r fires TaskSpawned(r) and then RootInlineDone(r), claims in
+// ascending order of r, and the claim then ends like a spawned task.
+// TaskSpawned(r) fires BEFORE a subtree task tagged r enters the
+// scheduler; each claim and each spawned task fires exactly one of
+// TaskDone (fully enumerated) or TaskDiscarded (the run is stopping and
+// the work is incomplete). Implementations must be safe for concurrent
+// use. See internal/ckpt.
 type FrontierObserver interface {
 	RootInlineDone(root int32)
 	TaskSpawned(root int32)
@@ -307,8 +311,14 @@ type Result struct {
 }
 
 // Metrics carries the instrumentation counters used by the paper's
-// motivation and breakdown figures. Counters are only approximate under the
-// parallel engine (merged per worker without ordering).
+// motivation and breakdown figures. Under the parallel engine the
+// scheduler counters and the time split depend on the schedule, and the
+// tree-shape counters may vary slightly between runs as well: a root
+// claimed before the root that dominates it has recorded that domination
+// is expanded instead of skipped. The counters this touches are
+// NodesGenerated, NodesNonMaximal, NodesPruned, SetIntersections, the
+// access counters, CGHist and the bitmap counts; the bicliques found
+// (NodesMaximal, Result.Count) never vary.
 type Metrics struct {
 	// NodesGenerated counts enumeration-tree nodes whose (L', R', C') sets
 	// were materialized (maximal or not).

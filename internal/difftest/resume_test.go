@@ -26,10 +26,11 @@ func resumeGraphs() []*graph.Bipartite {
 
 // TestResumeEquality is the tentpole acceptance matrix: for every graph
 // × interrupt point × engine cell (serial AdaMBE, ParAdaMBE at 4 and 8
-// threads, BBK), an interrupted-then-resumed spooled run must produce a
-// spool whose digest equals an uninterrupted enumeration of the same
-// graph — zero dropped, zero duplicated bicliques, proven by multiset
-// fingerprint rather than count.
+// threads and at 2 threads under random order, BBK), an
+// interrupted-then-resumed spooled run must produce a spool whose digest
+// equals an uninterrupted enumeration of the same graph — zero dropped,
+// zero duplicated bicliques, proven by multiset fingerprint rather than
+// count.
 func TestResumeEquality(t *testing.T) {
 	graphs := resumeGraphs()
 	if len(graphs) != 20 {
@@ -43,6 +44,11 @@ func TestResumeEquality(t *testing.T) {
 		{"threads=1", Config{Engine: EngAda, Order: order.DegreeAscending, Threads: 1}},
 		{"threads=4", Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: 4}},
 		{"threads=8", Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: 8}},
+		// Under ASC order a root is dominated only by an earlier root with
+		// an identical neighbourhood; random order makes dominated roots
+		// common, so this cell exercises ParAdaMBE's out-of-order
+		// domination record, with interrupts inside the parallel root loop.
+		{"threads=2/order=rand", Config{Engine: EngParAda, Order: order.Random, Seed: 3, Threads: 2}},
 		{"engine=BBK", Config{Engine: EngBBK, Order: order.DegreeAscending, Threads: 1}},
 	}
 

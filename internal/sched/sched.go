@@ -345,10 +345,10 @@ func (p *Pool[T]) Counters() Counters {
 // right: B is also the worker about to spawn from the stolen subtree.
 //
 // Not safe for concurrent use; each worker owns one FreeList, touched only
-// from its own goroutine (Get at spawn, Put after TaskDone). The list only
-// ever holds nodes that have left the pool, so its length is bounded by the
-// worker's share of the peak in-flight task footprint, not by spawn
-// traffic.
+// from its own goroutine (Get at spawn, Put after TaskDone). The list does
+// not bound itself: a worker that runs far more tasks than it spawns (a
+// thief) Puts far more than it Gets, so the caller caps what it parks
+// (see Len).
 type FreeList[T any] struct {
 	free   []*T
 	hits   int64
