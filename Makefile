@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-kernels bench-parallel bench-server check-dist repro repro-quick fuzz difftest difftest-extended clean
+.PHONY: all build test test-race test-e2ebench bench bench-kernels bench-parallel bench-server check-dist repro repro-quick fuzz difftest difftest-extended clean
 
 all: build test
 
@@ -15,6 +15,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark's own tests (a separate module, so `go test ./...`
+# at the root skips them): TestSmoke runs every workload at a tiny size,
+# traced and untraced, checking digests and the BENCHMARK.json schema.
+test-e2ebench:
+	cd e2ebench && $(GO) test ./...
 
 # One testing.B benchmark per paper table/figure plus kernel micro-benches.
 bench:

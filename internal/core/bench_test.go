@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/order"
@@ -32,6 +33,27 @@ func BenchmarkVariant(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRootLevel times the LN root level alone: serial AdaMBE on the
+// IM analogue in ASC order, with SkipSubtree dropping every root's
+// subtree. Each root still walks its two-hop wedges, is classified,
+// emitted when maximal, and builds its candidate and excluded lists.
+func BenchmarkRootLevel(b *testing.B) {
+	spec, ok := datasets.ByName("IM")
+	if !ok {
+		b.Fatal("IM dataset missing")
+	}
+	g := order.Apply(spec.Build(), order.DegreeAscending, 0)
+	skip := func(int, int, int) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Enumerate(g, Options{Variant: Ada, SkipSubtree: skip})
+		if err != nil || res.Count == 0 {
+			b.Fatalf("res=%+v err=%v", res, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -73,7 +74,11 @@ type engine struct {
 	uMark []int32 // per-U stamp
 	uVal  []int32 // position of u within the current bitmap's L*
 	vMark []int32 // per-V stamp
-	vVal  []int32 // CG-local index of v within the current bitmap
+	// vVal is the CG-local index of v within the current global bitmap
+	// (buildBitCGGlobal), or at an LN root first c[v] = |N(vp) ∩ N(v)|
+	// (countTwoHop) and then v's write offset into the root's list slab
+	// (fillRootLists), valid under the vMark epoch of the root's walk.
+	vVal []int32
 
 	// spawn, when non-nil, offers a generated maximal node to the parallel
 	// scheduler; a true return means the subtree was handed off and the
@@ -216,20 +221,21 @@ func (e *engine) run() {
 // child costs O(|V|²) set intersections; instead the candidate suffix and
 // excluded prefix relevant to a root child v' are gathered from v's two-hop
 // neighborhood ⋃_{u∈N(v')} N(u), the standard root optimization in MBE
-// implementations. It is applied identically to every engine (including
-// Baseline and the competitor reimplementations), so no algorithm
-// comparison is distorted.
+// implementations. Every engine gathers this way (including Baseline and
+// the competitor reimplementations), so no algorithm comparison is
+// distorted. The LN engines also count each vertex's wedges as they
+// gather (countTwoHop) and read their root node off the counts; Baseline
+// and AdaMBE-BIT intersect with each gathered vertex's adjacency list,
+// whose outside-CG part is what Fig. 5 counts.
 type rootScratch struct {
 	suffix []int32 // two-hop vertices with id > v' (future candidates)
 	prefix []int32 // two-hop vertices with id < v' (already traversed)
 }
 
 // gatherTwoHop fills rs with the distinct two-hop neighbors of vp, split
-// around vp, using the engine's epoch stamps. With a cursor, vertices it
-// records as dominated below vp are omitted entirely (pruned root
-// candidates); rc may be nil. The suffix is returned sorted ascending so
-// candidate order matches the sequential semantics.
-func (e *engine) gatherTwoHop(vp int32, lq []int32, rc *rootCursor, rs *rootScratch) {
+// around vp, using the engine's epoch stamps. The suffix is returned
+// sorted ascending so candidate order matches the sequential semantics.
+func (e *engine) gatherTwoHop(vp int32, lq []int32, rs *rootScratch) {
 	epoch := e.stampEpoch()
 	rs.suffix = rs.suffix[:0]
 	rs.prefix = rs.prefix[:0]
@@ -239,9 +245,6 @@ func (e *engine) gatherTwoHop(vp int32, lq []int32, rc *rootCursor, rs *rootScra
 				continue
 			}
 			e.vMark[w] = epoch
-			if rc != nil && rc.dominated(w, vp) {
-				continue
-			}
 			if w > vp {
 				rs.suffix = append(rs.suffix, w)
 			} else {
@@ -250,6 +253,93 @@ func (e *engine) gatherTwoHop(vp int32, lq []int32, rc *rootCursor, rs *rootScra
 		}
 	}
 	slices.Sort(rs.suffix)
+}
+
+// skipCount is the count of a vertex root vp builds no list for: vp
+// itself and each vertex the root skips (countTwoHop), and the members of
+// R' (fillRootLists). Later wedges add at most |N(vp)| − 1 < 2^31 to it,
+// so it stays negative.
+const skipCount = math.MinInt32
+
+// countTwoHop walks every wedge vp–u–w with u ∈ lq = N(vp) once and fills
+// rs like gatherTwoHop, leaving in e.vVal, under a fresh vMark epoch, the
+// count c[w] = |N(vp) ∩ N(w)| of every vertex it lists (the prefix in
+// first-visit order). It reads w's domination record once, at w's first
+// visit: vp and each w recorded as dominated below vp get a negative
+// count and are not listed. It returns the number of wedges walked.
+func (e *engine) countTwoHop(vp int32, lq []int32, rc *rootCursor, rs *rootScratch) (wedges int) {
+	epoch := e.stampEpoch()
+	rs.suffix = rs.suffix[:0]
+	rs.prefix = rs.prefix[:0]
+	mark, cnt := e.vMark, e.vVal
+	for _, u := range lq {
+		nbrs := e.g.NeighborsOfU(u)
+		wedges += len(nbrs)
+		for _, w := range nbrs {
+			if mark[w] == epoch {
+				cnt[w]++
+				continue
+			}
+			mark[w] = epoch
+			switch {
+			case w == vp || rc.dominated(w, vp):
+				cnt[w] = skipCount
+			case w > vp:
+				cnt[w] = 1
+				rs.suffix = append(rs.suffix, w)
+			default:
+				cnt[w] = 1
+				rs.prefix = append(rs.prefix, w)
+			}
+		}
+	}
+	slices.Sort(rs.suffix)
+	return wedges
+}
+
+// fillRootLists builds root vp's local neighborhoods N(w) ∩ lq for the
+// candidates cand and the excluded vertices excl from the counts
+// countTwoHop left in e.vVal: it lays the lists out back to back in one
+// slab block by prefix sum, turns each count into its list's write
+// offset, and fills them with a second walk over lq in ascending order,
+// so every list comes out sorted. R' members (rIDs) get no list; the
+// vertices the first walk skipped keep their negative count, so the
+// second walk reuses its decisions without reading the domination record.
+func (e *engine) fillRootLists(lq, rIDs, cand, excl []int32) (candNbrs, exclNbrs [][]int32) {
+	cnt := e.vVal
+	total := 0
+	for _, w := range cand {
+		total += int(cnt[w])
+	}
+	for _, w := range excl {
+		total += int(cnt[w])
+	}
+	flat := e.ids.Alloc(total)
+	candNbrs = e.hdrs.Alloc(len(cand))
+	exclNbrs = e.hdrs.Alloc(len(excl))
+	off := int32(0)
+	place := func(ids []int32, nbrs [][]int32) {
+		for k, w := range ids {
+			c := cnt[w]
+			nbrs[k] = flat[off : off+c : off+c]
+			cnt[w] = off
+			off += c
+		}
+	}
+	place(cand, candNbrs)
+	place(excl, exclNbrs)
+	for _, w := range rIDs {
+		cnt[w] = skipCount
+	}
+	for _, u := range lq {
+		for _, w := range e.g.NeighborsOfU(u) {
+			if o := cnt[w]; o >= 0 {
+				flat[o] = u
+				cnt[w] = o + 1
+			}
+		}
+	}
+	return candNbrs, exclNbrs
 }
 
 // rootLimit resolves the engine's exclusive root bound: EndRoot when a
@@ -283,7 +373,7 @@ func (e *engine) runGlobalRoot() {
 			e.rootDone(vp)
 			continue
 		}
-		e.gatherTwoHop(vp, lq, nil, &rs)
+		e.gatherTwoHop(vp, lq, &rs)
 
 		mark := e.ids.Mark()
 		rq := e.ids.Alloc(1 + len(rs.suffix))
@@ -378,7 +468,11 @@ func (e *engine) lnRoot(rc *rootCursor, vp int32, rs *rootScratch) (stopped bool
 
 // expandLNRoot generates root vp's first-level node and searches its
 // subtree, unless vp is skipped (degree 0, dominated, or the SkipChild
-// filter) or the run is stopping.
+// filter) or the run is stopping. The node is read off the wedge counts
+// c[w] = |N(vp) ∩ N(w)| of countTwoHop (docs/CORRECTNESS.md §3): w joins
+// R' when c[w] = |N(vp)|, vp dominates w when c[w] = deg(w), and a prefix
+// vertex with c[w] = |N(vp)| makes the root non-maximal, so a
+// non-maximal root costs one walk and builds no lists.
 func (e *engine) expandLNRoot(rc *rootCursor, vp int32, rs *rootScratch) {
 	g := e.g
 	if g.DegV(vp) == 0 || rc.dominated(vp, vp) {
@@ -393,8 +487,12 @@ func (e *engine) expandLNRoot(rc *rootCursor, vp int32, rs *rootScratch) {
 	if e.skipChild != nil && e.skipChild(len(lq)) {
 		return
 	}
-	e.gatherTwoHop(vp, lq, rc, rs)
-	ep := e.stampL(lq)
+	wedges := e.countTwoHop(vp, lq, rc, rs)
+	cnt := e.vVal
+	full := int32(len(lq))
+	if e.collect {
+		e.metrics.AccessesInsideCG += int64(wedges)
+	}
 
 	idMark := e.ids.Mark()
 	hdrMark := e.hdrs.Mark()
@@ -404,71 +502,65 @@ func (e *engine) expandLNRoot(rc *rootCursor, vp int32, rs *rootScratch) {
 	rq[0] = vp
 	nr := 1
 	cqIDs := e.ids.Alloc(len(rs.suffix))
-	cqNbrs := e.hdrs.Alloc(len(rs.suffix))
 	nc := 0
 	for _, vc := range rs.suffix {
-		nb := g.NeighborsOfV(vc) // root local neighborhood = N(v_c)
-		buf := e.ids.Alloc(min(len(lq), len(nb)))
-		m := e.localIntersect(buf, lq, nb, ep)
-		e.ids.ShrinkLast(len(buf), m)
-		if e.collect {
-			e.metrics.SetIntersections++
-			e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
-		}
-		if m == len(nb) {
+		m := cnt[vc]
+		if m == int32(g.DegV(vc)) {
 			rc.recordDominator(vc, vp)
 			if e.collect {
 				e.metrics.NodesPruned++
 			}
 		}
-		switch {
-		case m == len(lq):
+		if m == full {
 			rq[nr] = vc
 			nr++
-			e.ids.ShrinkLast(m, 0)
-		default: // m > 0 by two-hop membership
+		} else { // m > 0 by two-hop membership
 			cqIDs[nc] = vc
-			cqNbrs[nc] = buf[:m]
 			nc++
 		}
 	}
 
 	e.ctr.NodesLN++ // generated, maximal or not
-	exIDs := e.ids.Alloc(len(rs.prefix))
-	exNbrs := e.hdrs.Alloc(len(rs.prefix))
-	nx := 0
+	maximal := true
+	checked := 0
 	for _, x := range rs.prefix {
-		nb := g.NeighborsOfV(x)
-		buf := e.ids.Alloc(min(len(lq), len(nb)))
-		m := e.localIntersect(buf, lq, nb, ep)
-		e.ids.ShrinkLast(len(buf), m)
-		if e.collect {
-			e.metrics.SetIntersections++
-			e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
+		checked++
+		if cnt[x] == full { // x ∈ Γ(L') but x < vp: not maximal
+			maximal = false
+			break
 		}
-		if m == len(lq) {
-			return // x ∈ Γ(L') but x < vp: not maximal
-		}
-		if m > 0 {
-			exIDs[nx] = x
-			exNbrs[nx] = buf[:m]
-			nx++
-		}
+	}
+	if e.collect {
+		// One set intersection per vertex classified, as when each was
+		// intersected with N(vp): the suffix, then the prefix up to the
+		// first violator.
+		e.metrics.SetIntersections += int64(len(rs.suffix) + checked)
+	}
+	if !maximal {
+		return
 	}
 
 	if e.collect {
 		e.metrics.observeNode(len(lq), nc)
 	}
 	e.emit(lq, rq[:nr])
-	if nc == 0 || (e.skipSubtree != nil && e.skipSubtree(len(lq), nr, nc)) {
+	if nc == 0 {
 		return
 	}
-	if e.spawn != nil &&
-		e.spawn(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1) {
+	// Every prefix vertex is live (c ≥ 1), so the excluded set is the
+	// whole prefix, in first-visit order.
+	cqNbrs, exNbrs := e.fillRootLists(lq, rq[1:nr], cqIDs[:nc], rs.prefix)
+	if e.collect {
+		e.metrics.AccessesInsideCG += int64(wedges)
+	}
+	if e.skipSubtree != nil && e.skipSubtree(len(lq), nr, nc) {
+		return
+	}
+	if e.spawn != nil && e.spawn(lq, rq[:nr], cqIDs[:nc], cqNbrs, rs.prefix, exNbrs, 1) {
 		return // subtree handed to the parallel scheduler
 	}
 	t0, timed := e.enterSmallTimer(len(lq))
-	e.searchLN(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1)
+	e.searchLN(lq, rq[:nr], cqIDs[:nc], cqNbrs, rs.prefix, exNbrs, 1)
 	e.exitSmallTimer(t0, timed)
 }
 

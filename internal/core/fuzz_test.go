@@ -48,6 +48,9 @@ func FuzzEnumerateAgreement(f *testing.F) {
 			{Variant: BIT, Tau: 3},
 			{Variant: Ada, Tau: 5},
 			{Variant: Ada},
+			// Padded to two words: the only case that reaches
+			// searchBitPacked on graphs this small.
+			{Variant: Ada, Tau: 128, PadBitmaps: true},
 			{Variant: Ada, Threads: 2},
 		} {
 			got, res, err := CollectKeys(g, o)

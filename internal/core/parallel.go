@@ -92,7 +92,7 @@ func shouldSpawn(pool *sched.Pool[*detachedNode], w, nCand int) bool {
 // reservation, so the arena detach deep-copy is only ever paid for a subtree
 // that will actually be queued. Every worker starts in the LN root loop,
 // claiming first-level roots one at a time from one run-wide cursor, so
-// the two-hop gathering and first-level intersections are shared too.
+// the root level (each root's two-hop wedge walks) is shared too.
 // Neither spawn decisions (a declined offer recurses inline with
 // identical semantics) nor the order roots finish in change the
 // enumerated set, so counts and bicliques are bit-identical to the serial

@@ -2,12 +2,18 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/order"
 	"repro/internal/tle"
+	"repro/internal/vset"
 )
 
 // claimRoots runs workers goroutines that claim one root at a time from
@@ -169,5 +175,163 @@ func TestRootDominationOutOfOrder(t *testing.T) {
 				t.Errorf("seed %d order %d: biclique set differs from the serial run (%d vs %d)", seed, oi, len(got), len(want))
 			}
 		}
+	}
+}
+
+// rootNode is what one LN root produces: the emitted biclique (L, R) when
+// the root is maximal, the candidates and excluded vertices it offers for
+// its subtree with their local neighborhoods, and the domination record
+// once it is done.
+type rootNode struct {
+	L, R     []int32
+	cand     []int32
+	candNbrs [][]int32
+	excl     []int32
+	exclNbrs [][]int32
+	dom      []int32
+}
+
+// referenceRoot builds root vp's node from sorted set intersections of
+// N(vp) with each two-hop vertex's adjacency list, reading the record dom
+// as it stood when the root began. Candidates ascend; excluded vertices
+// keep the order of their first visit in the walk over N(vp).
+func referenceRoot(g *graph.Bipartite, vp int32, dom []int32) rootNode {
+	want := rootNode{dom: slices.Clone(dom)}
+	lq := g.NeighborsOfV(vp)
+	if len(lq) == 0 || dom[vp] < vp {
+		return want
+	}
+	seen := map[int32]bool{vp: true}
+	var suffix, prefix []int32
+	for _, u := range lq {
+		for _, w := range g.NeighborsOfU(u) {
+			if seen[w] {
+				continue
+			}
+			seen[w] = true
+			switch {
+			case dom[w] < vp:
+			case w > vp:
+				suffix = append(suffix, w)
+			default:
+				prefix = append(prefix, w)
+			}
+		}
+	}
+	slices.Sort(suffix)
+	local := func(w int32) []int32 {
+		nb := g.NeighborsOfV(w)
+		buf := make([]int32, min(len(lq), len(nb)))
+		return buf[:vset.IntersectInto(buf, lq, nb)]
+	}
+	R := []int32{vp}
+	for _, w := range suffix {
+		nb := local(w)
+		if len(nb) == g.DegV(w) {
+			want.dom[w] = min(want.dom[w], vp)
+		}
+		if len(nb) == len(lq) {
+			R = append(R, w)
+		} else {
+			want.cand = append(want.cand, w)
+			want.candNbrs = append(want.candNbrs, nb)
+		}
+	}
+	for _, x := range prefix {
+		nb := local(x)
+		if len(nb) == len(lq) {
+			return rootNode{dom: want.dom} // not maximal
+		}
+		want.excl = append(want.excl, x)
+		want.exclNbrs = append(want.exclNbrs, nb)
+	}
+	want.L, want.R = lq, R
+	if len(want.cand) == 0 {
+		want.excl, want.exclNbrs = nil, nil // no subtree to offer
+	}
+	return want
+}
+
+// cloneLists deep-copies lists; empty input gives nil, as in rootNode.
+func cloneLists(lists [][]int32) [][]int32 {
+	var out [][]int32
+	for _, l := range lists {
+		out = append(out, slices.Clone(l))
+	}
+	return out
+}
+
+// TestLNRootBuild checks every LN root's node against referenceRoot, on
+// uniform and hub-heavy (power-law) random graphs: R', the candidate and
+// excluded ids, their local neighborhoods and the dominators recorded.
+// The cursor is pre-seeded with records both below and above each root,
+// so both walks over N(vp) meet skipped vertices, and the roots run in a
+// random order, as ParAdaMBE workers can finish them, so some meet a
+// violator their dominator has not yet recorded. The emission handler
+// runs between the two walks and lowers a record there, as a ParAdaMBE
+// sibling can: the node must still follow the record as the root first
+// read it.
+func TestLNRootBuild(t *testing.T) {
+	graphs := map[string]*graph.Bipartite{
+		"sparse":   randomBipartite(t, 51, 40, 70, 220),
+		"dense":    randomBipartite(t, 52, 25, 40, 500),
+		"hubs":     gen.PowerLaw(53, 60, 80, 900, 1.5, 1.2),
+		"hubs-asc": order.Apply(gen.PowerLaw(54, 80, 60, 900, 1.2, 1.5), order.DegreeAscending, 0),
+	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			nv := int32(g.NV())
+			rng := rand.New(rand.NewSource(int64(nv)))
+			rc := newRootCursor(0, nv, int(nv), false, nil, func(int64) {})
+			for w := range rc.dom {
+				if rng.Intn(4) == 0 {
+					rc.dom[w].Store(rng.Int31n(nv))
+				}
+			}
+			record := func() []int32 {
+				dom := make([]int32, nv)
+				for w := range dom {
+					dom[w] = rc.dom[w].Load()
+				}
+				return dom
+			}
+
+			var got rootNode
+			var lowered []int32 // records the handler lowered, as pairs w, z
+			var vp int32
+			e := newEngine(g, Options{Variant: Ada, OnBiclique: func(L, R []int32) {
+				got.L, got.R = slices.Clone(L), slices.Clone(R)
+				if vp > 0 {
+					w, z := rng.Int31n(nv), rng.Int31n(vp)
+					rc.recordDominator(w, z)
+					lowered = append(lowered, w, z)
+				}
+			}}, &tle.Shared{}, 0)
+			e.spawn = func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool {
+				got.cand, got.candNbrs = append([]int32(nil), candIDs...), cloneLists(candNbrs)
+				got.excl, got.exclNbrs = append([]int32(nil), exclIDs...), cloneLists(exclNbrs)
+				return true
+			}
+			var rs rootScratch
+			for _, r := range rng.Perm(int(nv)) {
+				vp = int32(r)
+				want := referenceRoot(g, vp, record())
+				got, lowered = rootNode{}, lowered[:0]
+				e.expandLNRoot(rc, vp, &rs)
+				got.dom = record()
+				for i := 0; i < len(lowered); i += 2 {
+					w, z := lowered[i], lowered[i+1]
+					want.dom[w] = min(want.dom[w], z)
+				}
+				for _, nbrs := range append(got.candNbrs, got.exclNbrs...) {
+					if !slices.IsSorted(nbrs) {
+						t.Fatalf("root %d: local neighborhood %v is not sorted", vp, nbrs)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("root %d:\n got  %+v\n want %+v", vp, got, want)
+				}
+			}
+		})
 	}
 }

@@ -331,10 +331,17 @@ type Metrics struct {
 	NodesPruned int64
 	// AccessesInsideCG / AccessesOutsideCG count adjacency entries touched
 	// during set operations that fall inside vs outside the current
-	// computational subgraph (Fig. 5).
+	// computational subgraph (Fig. 5). At the LN engines' root, where the
+	// CG is the whole graph, AccessesInsideCG counts the adjacency entries
+	// the root's wedge walks read: Σ deg(u) over u ∈ N(v') per walk, with
+	// the second walk only for a root whose lists are built.
 	AccessesInsideCG  int64
 	AccessesOutsideCG int64
-	// SetIntersections counts pairwise set-intersection operations.
+	// SetIntersections counts pairwise set-intersection operations. The
+	// LN engines' root reads its node off wedge counts instead, and
+	// counts one per two-hop vertex it classifies — every vertex after v'
+	// (each joins R' or C'), then those before v' up to the first
+	// maximality violator — as many as intersecting each would take.
 	SetIntersections int64
 	// CGHist is a log₂-bucketed joint histogram of (|L|, |C|) over all
 	// nodes entered (Fig. 4): CGHist[i][j] counts nodes with
