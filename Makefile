@@ -28,9 +28,11 @@ bench:
 
 # Hot-path kernel micro-benches only: the batched packed-mask kernels at
 # word widths 1/2/4 (batched vs per-vertex, fused vs two-pass) and the
-# gallop-vs-merge intersection sweep.
+# gallop-vs-merge intersection sweep. CI runs the same set once each with
+# KERNEL_BENCHTIME=1x.
+KERNEL_BENCHTIME ?= 1s
 bench-kernels:
-	$(GO) test -bench='Packed|MaskAndCount|MaskAndThenCount|IntersectGallop' -benchmem ./internal/bitset ./internal/vset
+	$(GO) test -run='^$$' -bench='Packed|MaskAndCount|MaskAndThenCount|IntersectGallop' -benchtime=$(KERNEL_BENCHTIME) -benchmem ./internal/bitset ./internal/vset
 
 # Regenerate the checked-in scheduler perf trajectory (serial AdaMBE vs the
 # ParAdaMBE thread sweep, with spawn/steal/inline counters). Fails if any

@@ -117,6 +117,28 @@ func BenchmarkFilterIntersectsPacked(b *testing.B) {
 	}
 }
 
+// BenchmarkDropCoveredPacked compacts a fresh copy of the block each
+// iteration; lp is lq with a few more bits, as for a parent and its
+// child, so some masks are kept and some dropped.
+func BenchmarkDropCoveredPacked(b *testing.B) {
+	for _, stride := range []int{1, 2, 4} {
+		b.Run(strideName(stride), func(b *testing.B) {
+			lq, packed, ks := benchFixture(stride)
+			lp := make([]uint64, stride)
+			for w := range lp {
+				lp[w] = lq[w] | 1<<uint(w*7)
+			}
+			block := make([]int32, len(ks))
+			b.SetBytes(int64(stride * 8 * len(ks)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(block, ks)
+				DropCoveredPacked(lp, lq, packed, stride, block)
+			}
+		})
+	}
+}
+
 func BenchmarkMaskAndCount(b *testing.B) {
 	for _, stride := range []int{1, 2, 4} {
 		b.Run(strideName(stride), func(b *testing.B) {

@@ -10,11 +10,12 @@ import "math/bits"
 // a *block* of candidate masks: classify every remaining candidate
 // (disjoint / overlapping / superset), find the first excluded vertex that
 // violates maximality, filter the excluded set down to the vertices still
-// overlapping L_q. The kernels below take the packed storage and a block of
-// CG-local indices and answer those questions in a single pass each,
-// GMBE-style: L_q's words are hoisted into registers once per call and
-// reused across the whole block, instead of being re-read (and its slice
-// header re-materialized) once per candidate as the Mask methods would.
+// overlapping L_q, drop the later candidates L_q covers at the parent. The
+// kernels below take the packed storage and a block of CG-local indices
+// and answer those questions in a single pass each, GMBE-style: L_q's
+// words are hoisted into registers once per call and reused across the
+// whole block, instead of being re-read (and its slice header
+// re-materialized) once per candidate as the Mask methods would.
 //
 // Every kernel is unswitched on the stride: widths 1, 2, 3 and 4 words
 // (τ ≤ 256, the configurable fast path) get dedicated inner loops whose
@@ -257,6 +258,69 @@ func FilterIntersectsPacked(lq, packed []uint64, stride int, ks []int32, dst []i
 			}
 			if any != 0 {
 				dst[n] = k
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// DropCoveredPacked compacts ks in place: it keeps, in order, every k whose
+// packed mask has a bit of lp outside lq (lp & mask ⊄ lq), and returns the
+// number kept. len(lp) == len(lq) == stride. With lq a child's L_q and lp
+// its parent's L_p, the dropped k are the candidates whose local
+// neighborhood at the parent lies inside L_q: LN's pruning rule (§III-A(3)).
+func DropCoveredPacked(lp, lq, packed []uint64, stride int, ks []int32) int {
+	n := 0
+	switch stride {
+	case 1:
+		d0 := lp[0] &^ lq[0]
+		for _, k := range ks {
+			if d0&packed[k] != 0 {
+				ks[n] = k
+				n++
+			}
+		}
+	case 2:
+		d0, d1 := lp[0]&^lq[0], lp[1]&^lq[1]
+		for _, k := range ks {
+			off := int(k) * 2
+			m := packed[off : off+2]
+			if d0&m[0]|d1&m[1] != 0 {
+				ks[n] = k
+				n++
+			}
+		}
+	case 3:
+		d0, d1, d2 := lp[0]&^lq[0], lp[1]&^lq[1], lp[2]&^lq[2]
+		for _, k := range ks {
+			off := int(k) * 3
+			m := packed[off : off+3]
+			if d0&m[0]|d1&m[1]|d2&m[2] != 0 {
+				ks[n] = k
+				n++
+			}
+		}
+	case 4:
+		d0, d1, d2, d3 := lp[0]&^lq[0], lp[1]&^lq[1], lp[2]&^lq[2], lp[3]&^lq[3]
+		for _, k := range ks {
+			off := int(k) * 4
+			m := packed[off : off+4]
+			if d0&m[0]|d1&m[1]|d2&m[2]|d3&m[3] != 0 {
+				ks[n] = k
+				n++
+			}
+		}
+	default:
+		for _, k := range ks {
+			off := int(k) * stride
+			m := packed[off : off+stride]
+			var out uint64
+			for w := range m {
+				out |= lp[w] &^ lq[w] & m[w]
+			}
+			if out != 0 {
+				ks[n] = k
 				n++
 			}
 		}

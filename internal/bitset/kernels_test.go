@@ -118,6 +118,54 @@ func TestPackedKernelsAgainstOracle(t *testing.T) {
 	}
 }
 
+// TestDropCoveredPackedAgainstOracle checks the rule-3 compaction against
+// the set definition: k stays iff lp ∩ mask(k) ⊄ lq, in its original order.
+func TestDropCoveredPackedAgainstOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	kept, dropped := 0, 0
+	for _, stride := range kernelStrides {
+		for trial := 0; trial < 40; trial++ {
+			const nMasks = 40
+			packed, refs, width := packedFixture(rng, stride, nMasks)
+			lqRef := randomRef(rng, width, 0.3)
+			lpRef := randomRef(rng, width, 0.5) // unrelated to lq
+			if trial%5 != 4 {
+				// lq plus a few more bits, as for a node and its child.
+				lpRef = randomRef(rng, width, []float64{0, 0.01, 0.05, 0.3}[trial%4])
+				for i := range lqRef {
+					lpRef[i] = true
+				}
+			}
+			lp, lq := maskFromRef(lpRef, width), maskFromRef(lqRef, width)
+
+			var ks, want []int32
+			for k := 0; k < nMasks; k++ {
+				if rng.Intn(4) == 0 {
+					continue
+				}
+				ks = append(ks, int32(k))
+				if !lpRef.and(refs[k]).subsetOf(lqRef) {
+					want = append(want, int32(k))
+				}
+			}
+			n := DropCoveredPacked(lp, lq, packed, stride, ks)
+			if n != len(want) {
+				t.Fatalf("stride %d trial %d: kept %d, want %d", stride, trial, n, len(want))
+			}
+			for i := range want {
+				if ks[i] != want[i] {
+					t.Fatalf("stride %d trial %d: ks[%d] = %d, want %d", stride, trial, i, ks[i], want[i])
+				}
+			}
+			kept += n
+			dropped += len(ks) - n
+		}
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("kept %d, dropped %d: the fixture must produce both outcomes", kept, dropped)
+	}
+}
+
 func TestMaskAndCountAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, width := range boundaryWidths {

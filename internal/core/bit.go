@@ -235,11 +235,21 @@ func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
 // searchBit1 is searchBit specialized to one-word masks: every mask is a
 // plain uint64 indexed directly in cg.masks, set intersection is a single
 // AND, the subset test a single AND+CMP, and L_q lives in a register.
+//
+// Under AdaMBE both bitwise procedures apply LN's rule 3 (§III-A(3)) from
+// every child that passes SkipChild, maximal or not: a later candidate w
+// with N_p(w) ⊆ L_q, i.e. no bit of lp & m(w) outside lq, leaves cand.
+// cand belongs to this node (searchBitRoot's allocation or the parent's
+// C_q, which the parent never reads after the recursion), so it is
+// compacted in place; only entries after i move, and the traversed prefix
+// cand[:i] is unchanged. AdaMBE-BIT, the paper's BIT-only ablation, keeps
+// every candidate.
 func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32) {
 	if e.stop.Stopped() {
 		return
 	}
 	masks := cg.masks
+	prune := e.variant == Ada
 	for i := 0; i < len(cand); i++ {
 		if e.stop.Hit() {
 			return
@@ -275,11 +285,26 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32)
 			}
 		}
 		e.ctr.NodesBit++
+		outside := lp &^ lq // rule 3 keeps w iff m(w) meets it
+		kept := i + 1
 		if !maximal {
+			if prune {
+				for _, wk := range cand[i+1:] {
+					if masks[wk]&outside != 0 {
+						cand[kept] = wk
+						kept++
+					}
+				}
+				if e.collect {
+					e.metrics.SetIntersections += int64(len(cand) - i - 1)
+				}
+				cand = e.keepCandidates(cand, kept)
+			}
 			continue
 		}
 
-		// Node generation.
+		// Node generation: classify the whole suffix first, since a
+		// candidate rule 3 drops still joins R_q or C_q.
 		mark := e.ids.Mark()
 		rem := len(cand) - i - 1
 		rq := e.ids.Alloc(len(R) + 1 + rem)
@@ -301,7 +326,12 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32)
 				cq[nc] = wk
 				nc++
 			}
+			if !prune || mw&outside != 0 {
+				cand[kept] = wk
+				kept++
+			}
 		}
+		cand = e.keepCandidates(cand, kept)
 		exq := e.ids.Alloc(len(excl) + i)
 		nx := 0
 		for _, xk := range excl {
@@ -355,16 +385,18 @@ func (e *engine) emitBit1(cg *bitCG, lq uint64, R []int32) {
 // FirstSupersetPacked sweeps the excluded set for the maximality check,
 // ClassifyPacked splits the whole remaining candidate block into R_q / C_q
 // in a single pass (replacing the separate subset test and overlap test per
-// candidate), and FilterIntersectsPacked builds the child excluded set.
-// Each call hoists L_q's words into registers once per block and dispatches
-// once on the stride, so τ ∈ (64, 256] stays on unrolled 2–4-word inner
-// loops instead of falling back to LN.
+// candidate), FilterIntersectsPacked builds the child excluded set, and
+// under AdaMBE DropCoveredPacked applies rule 3 (see searchBit1) once per
+// child. Each call hoists L_q's words into registers once per block and
+// dispatches once on the stride, so τ ∈ (64, 256] stays on unrolled
+// 2–4-word inner loops instead of falling back to LN.
 func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32, cand, excl []int32) {
 	if e.stop.Stopped() {
 		return
 	}
 	width := cg.width
 	masks := cg.masks
+	prune := e.variant == Ada
 	for i := 0; i < len(cand); i++ {
 		if e.stop.Hit() {
 			return
@@ -398,6 +430,12 @@ func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32
 		}
 		e.ctr.NodesBit++
 		if at >= 0 { // lq ⊆ an excluded or traversed mask: not maximal
+			if prune {
+				if e.collect {
+					e.metrics.SetIntersections += int64(len(cand) - i - 1)
+				}
+				cand = e.dropCovered(cg, lp, lq, cand, i)
+			}
 			continue
 		}
 
@@ -426,6 +464,9 @@ func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32
 				nc++
 			}
 		}
+		if prune {
+			cand = e.dropCovered(cg, lp, lq, cand, i)
+		}
 		// Child excluded set: previous exclusions plus this node's
 		// traversed prefix, filtered to those still overlapping L_q.
 		exq := e.ids.Alloc(len(excl) + i)
@@ -443,13 +484,31 @@ func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32
 	}
 }
 
+// dropCovered is rule 3 in searchBitPacked, after node lp's child lq:
+// one batched pass compacts cand[i+1:] to the candidates lq does not
+// cover at lp (see searchBit1).
+func (e *engine) dropCovered(cg *bitCG, lp, lq bitset.Mask, cand []int32, i int) []int32 {
+	n := bitset.DropCoveredPacked(lp, lq, cg.masks, cg.width, cand[i+1:])
+	return e.keepCandidates(cand, i+1+n)
+}
+
+// keepCandidates cuts a node's candidate list to its first kept entries
+// after a rule-3 compaction and counts the dropped ones as pruned nodes.
+func (e *engine) keepCandidates(cand []int32, kept int) []int32 {
+	if e.collect {
+		e.metrics.NodesPruned += int64(len(cand) - kept)
+	}
+	return cand[:kept]
+}
+
 // relScratch returns a classification buffer of length n. One buffer per
 // engine suffices: it is consumed into R_q/C_q before any recursion, so no
 // live rels survive a nested searchBitPacked call.
 func (e *engine) relScratch(n int) []bitset.Rel {
 	if cap(e.rels) < n {
+		before := cap(e.rels)
 		e.rels = make([]bitset.Rel, max(n, 2*cap(e.rels)))
-		e.chargeMem(int64(cap(e.rels)))
+		e.chargeMem(int64(cap(e.rels) - before))
 	}
 	return e.rels[:n]
 }

@@ -327,7 +327,11 @@ type Metrics struct {
 	NodesMaximal    int64
 	NodesNonMaximal int64
 	// NodesPruned counts children skipped by the LN pruning rule
-	// (§III-A(3)); they are not included in NodesGenerated.
+	// (§III-A(3)); they are not included in NodesGenerated. Under AdaMBE
+	// it includes the rule's prunes inside the bitmap procedure, so a
+	// serial AdaMBE run's tree-shape counters (NodesGenerated,
+	// NodesMaximal, NodesNonMaximal, NodesPruned, CGHist) equal
+	// AdaMBE-LN's at every τ. AdaMBE-BIT prunes nothing.
 	NodesPruned int64
 	// AccessesInsideCG / AccessesOutsideCG count adjacency entries touched
 	// during set operations that fall inside vs outside the current
@@ -341,7 +345,10 @@ type Metrics struct {
 	// LN engines' root reads its node off wedge counts instead, and
 	// counts one per two-hop vertex it classifies — every vertex after v'
 	// (each joins R' or C'), then those before v' up to the first
-	// maximality violator — as many as intersecting each would take.
+	// maximality violator — as many as intersecting each would take. In
+	// the bitmap procedure each mask test counts one; under AdaMBE a
+	// non-maximal child also tests every later candidate for the pruning
+	// rule, as searchLN's classification does.
 	SetIntersections int64
 	// CGHist is a log₂-bucketed joint histogram of (|L|, |C|) over all
 	// nodes entered (Fig. 4): CGHist[i][j] counts nodes with

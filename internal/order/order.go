@@ -84,9 +84,7 @@ func Permutation(g *graph.Bipartite, k Kind, seed int64) []int32 {
 	}
 	switch k {
 	case DegreeAscending:
-		sort.SliceStable(perm, func(i, j int) bool {
-			return g.DegV(perm[i]) < g.DegV(perm[j])
-		})
+		byDegree(g, perm)
 	case Random:
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(nv, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -100,6 +98,30 @@ func Permutation(g *graph.Bipartite, k Kind, seed int64) []int32 {
 		panic(fmt.Sprintf("order: unknown Kind %d", int(k)))
 	}
 	return perm
+}
+
+// byDegree fills perm with V sorted by degree ascending, ties in id order.
+// It is a stable counting sort, O(|V| + max degree): every rooted
+// Enumerate call pays for its ordering before any worker starts.
+func byDegree(g *graph.Bipartite, perm []int32) {
+	maxDeg := 0
+	for v := range perm {
+		maxDeg = max(maxDeg, g.DegV(int32(v)))
+	}
+	next := make([]int, maxDeg+1) // first slot of each degree, once summed
+	for v := range perm {
+		next[g.DegV(int32(v))]++
+	}
+	slot := 0
+	for d, n := range next {
+		next[d] = slot
+		slot += n
+	}
+	for v := range perm {
+		d := g.DegV(int32(v))
+		perm[next[d]] = int32(v)
+		next[d]++
+	}
 }
 
 // Permute returns g with its V side relabeled into ordering k and the

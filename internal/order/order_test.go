@@ -2,9 +2,11 @@ package order
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -81,6 +83,64 @@ func TestDegreeAscendingIsStable(t *testing.T) {
 	}
 	if pos[2] > pos[3] {
 		t.Fatalf("stable sort violated: pos(v2)=%d pos(v3)=%d", pos[2], pos[3])
+	}
+}
+
+// TestPermuteMatchesComparisonSort pins the counting-sort degree order and
+// the sort-free PermuteV to their comparison-sort definitions: a stable
+// sort of V by degree, and a CSR whose relabeled rows are sorted. Spool
+// resume, dist workers and difftest recompute both from (ordering, seed),
+// so they must come out identical. The graphs have many degree ties and
+// isolated vertices on both sides.
+func TestPermuteMatchesComparisonSort(t *testing.T) {
+	graphs := map[string]*graph.Bipartite{
+		"sparse":   randomGraph(t, 21, 50, 200, 150),
+		"ties":     randomGraph(t, 22, 300, 40, 120),
+		"dense":    randomGraph(t, 23, 30, 60, 900),
+		"edgeless": randomGraph(t, 24, 5, 7, 0),
+		"paper":    graph.PaperExample(),
+	}
+	for name, g := range graphs {
+		want := make([]int32, g.NV())
+		for i := range want {
+			want[i] = int32(i)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return g.DegV(want[i]) < g.DegV(want[j]) })
+		if got := Permutation(g, DegreeAscending, 0); !slices.Equal(got, want) {
+			t.Fatalf("%s: degree order %v, want %v", name, got, want)
+		}
+
+		for _, k := range []Kind{DegreeAscending, Random, UnilateralCore} {
+			pg, perm, err := Permute(g, k, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inv := make([]int32, len(perm))
+			for newID, oldID := range perm {
+				inv[oldID] = int32(newID)
+			}
+			edges := g.Edges()
+			for i := range edges {
+				edges[i].V = inv[edges[i].V]
+			}
+			ref, err := graph.FromEdges(g.NU(), g.NV(), edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pg.Validate(); err != nil {
+				t.Fatalf("%s/%v: %v", name, k, err)
+			}
+			for v := int32(0); v < int32(g.NV()); v++ {
+				if !slices.Equal(pg.NeighborsOfV(v), ref.NeighborsOfV(v)) {
+					t.Fatalf("%s/%v: row of v%d is %v, want %v", name, k, v, pg.NeighborsOfV(v), ref.NeighborsOfV(v))
+				}
+			}
+			for u := int32(0); u < int32(g.NU()); u++ {
+				if !slices.Equal(pg.NeighborsOfU(u), ref.NeighborsOfU(u)) {
+					t.Fatalf("%s/%v: row of u%d is %v, want %v", name, k, u, pg.NeighborsOfU(u), ref.NeighborsOfU(u))
+				}
+			}
+		}
 	}
 }
 
@@ -227,5 +287,25 @@ func TestUnilateralCoreFallbackSaturates(t *testing.T) {
 		if c < 0 {
 			t.Fatalf("negative coreness %d", c)
 		}
+	}
+}
+
+// BenchmarkPermute times what every rooted Enumerate call does before any
+// worker starts: derive the ordering and build the permuted graph, on the
+// IM analogue (|V| = 16,000) in both orders the benchmarks run.
+func BenchmarkPermute(b *testing.B) {
+	g := gen.Affiliation(110, gen.AffiliationConfig{
+		NU: 48000, NV: 16000, Communities: 7000,
+		MeanU: 11, MeanV: 4, Density: 0.9, NoiseEdges: 14000,
+	}).Orient()
+	for _, k := range []Kind{DegreeAscending, Random} {
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Permute(g, k, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
