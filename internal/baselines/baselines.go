@@ -96,9 +96,6 @@ const (
 // is recovered into an error wrapping core.ErrPanic with no goroutine
 // leaked.
 func Run(g *graph.Bipartite, alg Algorithm, opts core.Options) (core.Result, error) {
-	if opts.StartRoot < 0 {
-		return core.Result{}, fmt.Errorf("%w: negative StartRoot %d", core.ErrBadOptions, opts.StartRoot)
-	}
 	if err := core.ValidateRootRange(opts.StartRoot, opts.EndRoot, g.NV()); err != nil {
 		return core.Result{}, err
 	}

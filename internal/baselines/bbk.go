@@ -29,19 +29,19 @@ import (
 //     and is killed.
 //
 // Each maximal biclique (A, B) is emitted exactly once, under the root
-// min(B) — the same root partition the core engines use, which is what
-// makes the durable spool's checkpoint/resume protocol (root-tagged
-// emission, frontier watermark, StartRoot) carry over unchanged.
+// min(B) — the same root partition the core engines use, and BBK runs
+// their root loop (core.RootCursor), which is what makes the durable
+// spool's checkpoint/resume protocol (root-tagged emission, frontier
+// watermark, StartRoot) carry over unchanged.
 type bbkEngine struct {
-	g        *graph.Bipartite
-	handler  core.Handler
-	sink     core.Sink
-	frontier core.FrontierObserver
-	stop     tle.Stopper
-	hook     func(site string) error
-	count    int64
-	curRoot  int32
-	ids      vset.Slab[int32]
+	g       *graph.Bipartite
+	handler core.Handler
+	sink    core.Sink
+	stop    tle.Stopper
+	hook    func(site string) error
+	count   int64
+	curRoot int32
+	ids     vset.Slab[int32]
 
 	// Local metric counters, flushed into core.Options.Metrics at the end so a
 	// recovered panic still reports what was gathered.
@@ -71,11 +71,10 @@ func (e *bbkEngine) faultStep(site string) {
 // metrics gathered) still reported.
 func runBBK(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (res core.Result, err error) {
 	e := &bbkEngine{
-		g:        g,
-		handler:  opts.OnBiclique,
-		sink:     opts.Sink,
-		frontier: opts.Frontier,
-		hook:     opts.FaultHook,
+		g:       g,
+		handler: opts.OnBiclique,
+		sink:    opts.Sink,
+		hook:    opts.FaultHook,
 	}
 	e.stop = tle.NewStopper(shared, opts.StopConfig())
 	e.ids.OnGrow = e.stop.AddMem
@@ -93,14 +92,9 @@ func runBBK(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (res core
 			err = core.PanicError("BBK", r)
 		}
 	}()
-	e.run(opts.StartRoot, opts.EndRoot)
+	th := newTwoHop(g)
+	core.NewRootCursor(&opts, g.NV()).Run(&e.stop, func(vp int32) { e.rootNode(vp, th) })
 	return res, nil
-}
-
-func (e *bbkEngine) rootDone(vp int32) {
-	if e.frontier != nil {
-		e.frontier.RootInlineDone(vp)
-	}
 }
 
 // emit reports one maximal biclique, both sides sorted ascending.
@@ -132,42 +126,20 @@ func (e *bbkEngine) intersectLen(a, b []int32) int {
 	return vset.IntersectLen(a, b)
 }
 
-// run is the root loop: one first-level node per V vertex with
-// StartRoot/EndRoot range semantics and the core engines' frontier
-// contract — RootInlineDone fires exactly once per root in the range, on
-// every skip path, never after a stop.
-func (e *bbkEngine) run(startRoot, endRoot int32) {
-	g := e.g
-	th := newTwoHop(g)
-	limit := int32(g.NV())
-	if endRoot > 0 {
-		limit = endRoot
-	}
-	for vp := startRoot; vp < limit; vp++ {
-		if e.stop.Hit() {
-			return
-		}
-		if g.DegV(vp) == 0 {
-			e.rootDone(vp)
-			continue
-		}
-		e.faultStep(SiteBBKNode)
-		e.curRoot = vp
-		mark := e.ids.Mark()
-		e.rootNode(vp, th)
-		e.ids.Release(mark)
-		if e.stop.Stopped() {
-			return
-		}
-		e.rootDone(vp)
-	}
-}
-
-// rootNode generates the first-level node for root vp: L = N(vp), the
+// rootNode is BBK's root expansion: unless vp has degree 0 or the run is
+// stopping, it generates root vp's first-level node — L = N(vp), the
 // excluded set seeded from the two-hop prefix (roots already processed),
-// candidates and absorbed vertices from the two-hop suffix.
+// candidates and absorbed vertices from the two-hop suffix — and searches
+// its subtree.
 func (e *bbkEngine) rootNode(vp int32, th *twoHop) {
 	g := e.g
+	if e.stop.Hit() || g.DegV(vp) == 0 {
+		return
+	}
+	e.faultStep(SiteBBKNode)
+	e.curRoot = vp
+	mark := e.ids.Mark()
+	defer e.ids.Release(mark)
 	lq := g.NeighborsOfV(vp)
 	th.gather(vp, lq)
 	e.nodesGen++

@@ -51,9 +51,11 @@ func TestSessionInterruptResumeComplete(t *testing.T) {
 	for r := int32(0); r < 5; r++ {
 		sink.Emit(int(r)%2, r, []int32{r}, []int32{r + 1, r + 2})
 		sink.Emit(int(r)%2, r, []int32{r, r + 1}, []int32{r + 3})
-		fr.RootInlineDone(r)
+		finishRoot(fr, r)
 	}
-	// Root 5 was mid-flight at the interrupt: one emission, never done.
+	// Root 5 was mid-flight at the interrupt: begun, one emission, never
+	// ended.
+	fr.Begin(5)
 	sink.Emit(1, 5, []int32{5}, []int32{6})
 	if err := sess.Finish(false); err != nil {
 		t.Fatalf("interrupted Finish: %v", err)
@@ -93,7 +95,7 @@ func TestSessionInterruptResumeComplete(t *testing.T) {
 	for r := int32(5); r < 10; r++ {
 		sink2.Emit(int(r)%2, r, []int32{r}, []int32{r + 1, r + 2})
 		sink2.Emit(int(r)%2, r, []int32{r, r + 1}, []int32{r + 3})
-		fr2.RootInlineDone(r)
+		finishRoot(fr2, r)
 	}
 	if err := sess2.Finish(true); err != nil {
 		t.Fatalf("final Finish: %v", err)
@@ -131,7 +133,7 @@ func TestSessionFinishIncompleteFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Frontier().RootInlineDone(0) // 1 of 10 roots
+	finishRoot(sess.Frontier(), 0) // 1 of 10 roots
 	if err := sess.Finish(true); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestSessionResumeWithoutCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Sink(nil, 1).Emit(0, 0, []int32{1}, []int32{2})
-	sess.Frontier().RootInlineDone(0)
+	finishRoot(sess.Frontier(), 0)
 	if err := sess.Finish(false); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestSessionCheckpointDurableOffsets(t *testing.T) {
 	sink := sess.Sink(nil, 2)
 	for r := int32(0); r < 4; r++ {
 		sink.Emit(int(r)%2, r, []int32{r}, []int32{r + 1})
-		sess.Frontier().RootInlineDone(r)
+		finishRoot(sess.Frontier(), r)
 	}
 	if err := sess.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -249,9 +251,9 @@ func TestSessionSinkPermutation(t *testing.T) {
 	perm := []int32{2, 0, 1} // engine id -> original id
 	sink := sess.Sink(perm, 1)
 	sink.Emit(0, 0, []int32{7}, []int32{0, 2})
-	sess.Frontier().RootInlineDone(0)
-	sess.Frontier().RootInlineDone(1)
-	sess.Frontier().RootInlineDone(2)
+	finishRoot(sess.Frontier(), 0)
+	finishRoot(sess.Frontier(), 1)
+	finishRoot(sess.Frontier(), 2)
 	if err := sess.Finish(true); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func writeInterrupted(t *testing.T, dir string) {
 	sink := sess.Sink(nil, 2)
 	for r := int32(0); r < 5; r++ {
 		sink.Emit(int(r)%2, r, []int32{r}, []int32{r + 1, r + 2})
-		sess.Frontier().RootInlineDone(r)
+		finishRoot(sess.Frontier(), r)
 	}
 	sink.Emit(1, 5, []int32{5}, []int32{6})
 	if err := sess.Finish(false); err != nil {
@@ -129,7 +129,7 @@ func TestOpenTornCheckpointResumes(t *testing.T) {
 			sink := sess.Sink(nil, 2)
 			for r := int32(0); r < 10; r++ {
 				sink.Emit(int(r)%2, r, []int32{r}, []int32{r + 1})
-				sess.Frontier().RootInlineDone(r)
+				finishRoot(sess.Frontier(), r)
 			}
 			if err := sess.Finish(true); err != nil {
 				t.Fatal(err)

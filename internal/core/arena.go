@@ -23,8 +23,8 @@ type detachedNode struct {
 	// released when the task completes (or is discarded during a drain).
 	mem int64
 	// isRoot marks a root task (one is seeded per worker): the receiving
-	// worker runs the LN root loop over roots it claims from the run's
-	// cursor instead of searchLN.
+	// worker runs the root loop over the run's cursor instead of
+	// searchLN.
 	isRoot bool
 
 	// Retained backing storage, reused across arena recycles: flat holds

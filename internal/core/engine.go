@@ -14,7 +14,7 @@ import (
 
 // Fault-injection site names (Options.FaultHook); see internal/faultinject.
 const (
-	// SiteRoot fires once per root candidate, in every root loop.
+	// SiteRoot fires once per root expanded, in every core root expansion.
 	SiteRoot = "core/root"
 	// SiteNode fires once per searchLN child-node expansion.
 	SiteNode = "core/node"
@@ -42,17 +42,22 @@ type engine struct {
 	// stop-check poll and on exit (see publish).
 	ctr obs.Counters
 
-	// Durable-emission state (Options.Sink / Frontier / StartRoot; all
-	// zero-valued and branch-free on ordinary runs). wid is this engine's
-	// worker id (the sink routing key); curRoot is the root vertex of the
-	// subtree currently being enumerated — set by the root loops per
-	// iteration and by the parallel worker per task from the task's tag.
-	wid       int
-	sink      Sink
-	frontier  FrontierObserver
-	curRoot   int32
-	startRoot int32
-	endRoot   int32 // exclusive root limit; 0 means |V|
+	// Durable-emission state (Options.Sink / Frontier; zero-valued and
+	// branch-free on ordinary runs). wid is this engine's worker id (the
+	// sink routing key); curRoot is the root vertex of the subtree
+	// currently being enumerated — set by the root expansions and by the
+	// parallel worker per task from the task's tag.
+	wid      int
+	sink     Sink
+	frontier FrontierObserver
+	curRoot  int32
+
+	// dom is the run's LN root-pruning record, shared by every worker of
+	// the run; nil on Baseline and AdaMBE-BIT runs, whose roots are
+	// expanded by Algorithm 1 instead (see expandRoot).
+	dom rootDom
+	// rs is the root expansions' two-hop scratch, reused across roots.
+	rs rootScratch
 
 	// collect gates the figure counters in metrics that cost something
 	// per set operation or need the clock (Options.Metrics != nil).
@@ -120,11 +125,9 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 		collect: opts.Metrics != nil,
 		probe:   opts.Obs.Worker(wid),
 
-		wid:       wid,
-		sink:      opts.Sink,
-		frontier:  opts.Frontier,
-		startRoot: opts.StartRoot,
-		endRoot:   opts.EndRoot,
+		wid:      wid,
+		sink:     opts.Sink,
+		frontier: opts.Frontier,
 	}
 	cfg := opts.StopConfig()
 	if e.probe != nil {
@@ -197,31 +200,38 @@ func (e *engine) faultStep(site string) {
 	}
 }
 
-// run executes the configured variant from the root node (U, ∅, V) on a
-// serial run: the LN engines take every root in one claim.
-func (e *engine) run() {
+// run executes a serial run from the root node (U, ∅, V): it expands
+// every root rc hands out.
+func (e *engine) run(rc *RootCursor) {
 	start := time.Now()
 	if e.collect {
 		e.metrics.observeNode(len(e.allU), e.g.NV())
 	}
-	switch e.variant {
-	case Baseline, BIT:
-		e.runGlobalRoot()
-	case LN, Ada:
-		nv := e.g.NV()
-		e.runLNRoot(newRootCursor(e.startRoot, e.rootLimit(nv), nv, false, nil, e.chargeMem))
-	}
+	rc.Run(&e.stop, e.expandRoot)
 	if e.collect {
 		e.metrics.LargeNodeTime = time.Since(start) - e.metrics.SmallNodeTime
 	}
 }
 
+// expandRoot is the engine's expansion of root vp, the one its root loop
+// runs: the first-level node of v' and its subtree, generated by the LN
+// root when the run keeps a domination record (AdaMBE-LN, AdaMBE and
+// ParAdaMBE) and by Algorithm 1 otherwise (Baseline, AdaMBE-BIT).
+func (e *engine) expandRoot(vp int32) {
+	e.ctr.Root = int64(vp) + 1
+	if e.dom != nil {
+		e.expandLNRoot(vp)
+	} else {
+		e.expandGlobalRoot(vp)
+	}
+}
+
 // rootScratch holds the reusable two-hop gathering buffers used by the
-// root loops. Processing root children by scanning all |V| candidates per
-// child costs O(|V|²) set intersections; instead the candidate suffix and
-// excluded prefix relevant to a root child v' are gathered from v's two-hop
-// neighborhood ⋃_{u∈N(v')} N(u), the standard root optimization in MBE
-// implementations. Every engine gathers this way (including Baseline and
+// root expansions. Processing root children by scanning all |V|
+// candidates per child costs O(|V|²) set intersections; instead the
+// candidate suffix and excluded prefix relevant to a root child v' are
+// gathered from v's two-hop neighborhood ⋃_{u∈N(v')} N(u), the standard
+// root optimization in MBE implementations. Every engine gathers this way (including Baseline and
 // the competitor reimplementations), so no algorithm comparison is
 // distorted. The LN engines also count each vertex's wedges as they
 // gather (countTwoHop) and read their root node off the counts; Baseline
@@ -232,10 +242,11 @@ type rootScratch struct {
 	prefix []int32 // two-hop vertices with id < v' (already traversed)
 }
 
-// gatherTwoHop fills rs with the distinct two-hop neighbors of vp, split
-// around vp, using the engine's epoch stamps. The suffix is returned
+// gatherTwoHop fills e.rs with the distinct two-hop neighbors of vp,
+// split around vp, using the engine's epoch stamps. The suffix is left
 // sorted ascending so candidate order matches the sequential semantics.
-func (e *engine) gatherTwoHop(vp int32, lq []int32, rs *rootScratch) {
+func (e *engine) gatherTwoHop(vp int32, lq []int32) {
+	rs := &e.rs
 	epoch := e.stampEpoch()
 	rs.suffix = rs.suffix[:0]
 	rs.prefix = rs.prefix[:0]
@@ -262,12 +273,13 @@ func (e *engine) gatherTwoHop(vp int32, lq []int32, rs *rootScratch) {
 const skipCount = math.MinInt32
 
 // countTwoHop walks every wedge vp–u–w with u ∈ lq = N(vp) once and fills
-// rs like gatherTwoHop, leaving in e.vVal, under a fresh vMark epoch, the
+// e.rs like gatherTwoHop, leaving in e.vVal, under a fresh vMark epoch, the
 // count c[w] = |N(vp) ∩ N(w)| of every vertex it lists (the prefix in
 // first-visit order). It reads w's domination record once, at w's first
 // visit: vp and each w recorded as dominated below vp get a negative
 // count and are not listed. It returns the number of wedges walked.
-func (e *engine) countTwoHop(vp int32, lq []int32, rc *rootCursor, rs *rootScratch) (wedges int) {
+func (e *engine) countTwoHop(vp int32, lq []int32) (wedges int) {
+	rs := &e.rs
 	epoch := e.stampEpoch()
 	rs.suffix = rs.suffix[:0]
 	rs.prefix = rs.prefix[:0]
@@ -282,7 +294,7 @@ func (e *engine) countTwoHop(vp int32, lq []int32, rc *rootCursor, rs *rootScrat
 			}
 			mark[w] = epoch
 			switch {
-			case w == vp || rc.dominated(w, vp):
+			case w == vp || e.dom.dominated(w, vp):
 				cnt[w] = skipCount
 			case w > vp:
 				cnt[w] = 1
@@ -342,128 +354,60 @@ func (e *engine) fillRootLists(lq, rIDs, cand, excl []int32) (candNbrs, exclNbrs
 	return candNbrs, exclNbrs
 }
 
-// rootLimit resolves the engine's exclusive root bound: EndRoot when a
-// range was requested, |V| otherwise.
-func (e *engine) rootLimit(nv int) int32 {
-	if e.endRoot > 0 {
-		return e.endRoot
-	}
-	return int32(nv)
-}
-
-// runGlobalRoot runs the root loop of Algorithm 1 (Baseline / AdaMBE-BIT):
-// for every v' ∈ V (ascending), generate the first-level node from v's
-// two-hop neighborhood and recurse with searchGlobal.
-func (e *engine) runGlobalRoot() {
+// expandGlobalRoot is Algorithm 1's root expansion (Baseline /
+// AdaMBE-BIT): it generates root vp's first-level node from v's two-hop
+// neighborhood and recurses with searchGlobal, unless vp is skipped
+// (degree 0 or the SkipChild filter) or the run is stopping.
+func (e *engine) expandGlobalRoot(vp int32) {
 	g := e.g
-	var rs rootScratch
-	for vp, limit := e.startRoot, e.rootLimit(g.NV()); vp < limit; vp++ {
-		e.ctr.Root = int64(vp) + 1
-		if g.DegV(vp) == 0 {
-			e.rootDone(vp)
-			continue
-		}
-		if e.stop.Hit() {
-			return
-		}
-		e.curRoot = vp
-		e.faultStep(SiteRoot)
-		lq := g.NeighborsOfV(vp) // L' = U ∩ N(v')
-		if e.skipChild != nil && e.skipChild(len(lq)) {
-			e.rootDone(vp)
-			continue
-		}
-		e.gatherTwoHop(vp, lq, &rs)
-
-		mark := e.ids.Mark()
-		rq := e.ids.Alloc(1 + len(rs.suffix))
-		rq[0] = vp
-		nr := 1
-		cq := e.ids.Alloc(len(rs.suffix))
-		nc := 0
-		for _, vc := range rs.suffix {
-			nvc := g.NeighborsOfV(vc)
-			m := intersectLen(lq, nvc)
-			if e.collect {
-				e.metrics.SetIntersections++
-				e.metrics.AccessesInsideCG += int64(len(lq) + m)
-				e.metrics.AccessesOutsideCG += int64(len(nvc) - m)
-			}
-			if m == len(lq) {
-				rq[nr] = vc
-				nr++
-			} else { // two-hop membership guarantees m > 0
-				cq[nc] = vc
-				nc++
-			}
-		}
-		e.ctr.NodesLN++
-		if e.gammaSize(lq) == nr {
-			if e.collect {
-				e.metrics.observeNode(len(lq), nc)
-			}
-			e.emit(lq, rq[:nr])
-			if e.skipSubtree == nil || !e.skipSubtree(len(lq), nr, nc) {
-				t0, timed := e.enterSmallTimer(len(lq))
-				e.searchGlobal(lq, rq[:nr], cq[:nc], 1)
-				e.exitSmallTimer(t0, timed)
-			}
-		}
-		e.ids.Release(mark)
-		// A stop observed mid-subtree means vp's emission is incomplete:
-		// leave it unreported so the checkpoint watermark stays below it
-		// and a resume re-enumerates the whole root (rootDone contract).
-		if e.stop.Stopped() {
-			return
-		}
-		e.rootDone(vp)
+	if g.DegV(vp) == 0 || e.stop.Hit() {
+		return
 	}
-}
+	e.curRoot = vp
+	e.faultStep(SiteRoot)
+	lq := g.NeighborsOfV(vp) // L' = U ∩ N(v')
+	if e.skipChild != nil && e.skipChild(len(lq)) {
+		return
+	}
+	e.gatherTwoHop(vp, lq)
+	rs := &e.rs
 
-// runLNRoot runs the root loop of the LN engines over the roots it claims
-// from rc, until none are left or the run stops: children are generated
-// from two-hop neighborhoods, their local-neighborhood caches are
-// materialized, and the LN pruning rule applies across root candidates
-// through rc's run-wide domination record. A serial run makes one claim
-// covering every root; a ParAdaMBE root task claims one root at a time.
-func (e *engine) runLNRoot(rc *rootCursor) {
-	var rs rootScratch
-	for {
-		lo, hi := rc.claim()
-		if lo == hi {
-			return
+	mark := e.ids.Mark()
+	defer e.ids.Release(mark)
+	rq := e.ids.Alloc(1 + len(rs.suffix))
+	rq[0] = vp
+	nr := 1
+	cq := e.ids.Alloc(len(rs.suffix))
+	nc := 0
+	for _, vc := range rs.suffix {
+		nvc := g.NeighborsOfV(vc)
+		m := intersectLen(lq, nvc)
+		if e.collect {
+			e.metrics.SetIntersections++
+			e.metrics.AccessesInsideCG += int64(len(lq) + m)
+			e.metrics.AccessesOutsideCG += int64(len(nvc) - m)
 		}
-		for vp := lo; vp < hi; vp++ {
-			if e.lnRoot(rc, vp, &rs) {
-				return
-			}
+		if m == len(lq) {
+			rq[nr] = vc
+			nr++
+		} else { // two-hop membership guarantees m > 0
+			cq[nc] = vc
+			nc++
 		}
 	}
-}
-
-// lnRoot runs root vp of a claim and reports whether the run stopped. On
-// a run-wide claim, a stop observed mid-subtree leaves vp unreported, so
-// the checkpoint watermark stays below it and a resume re-enumerates the
-// whole root (rootDone contract). A one-root claim is released instead:
-// discarded when the run is stopping or the expansion panicked. Its
-// forced Poll, as at the end of a parallel task, sees sibling trips the
-// local stopper has not observed yet — conservatively discarding a root
-// that did complete is safe; the converse would corrupt resume.
-func (e *engine) lnRoot(rc *rootCursor, vp int32, rs *rootScratch) (stopped bool) {
-	e.ctr.Root = int64(vp) + 1
-	if !rc.perRoot {
-		e.expandLNRoot(rc, vp, rs)
-		if e.stop.Stopped() {
-			return true
-		}
-		e.rootDone(vp)
-		return false
+	e.ctr.NodesLN++
+	if e.gammaSize(lq) != nr {
+		return
 	}
-	stopped = true // until the expansion returns
-	defer func() { rc.release(vp, stopped) }()
-	e.expandLNRoot(rc, vp, rs)
-	stopped = e.stop.Poll()
-	return stopped
+	if e.collect {
+		e.metrics.observeNode(len(lq), nc)
+	}
+	e.emit(lq, rq[:nr])
+	if e.skipSubtree == nil || !e.skipSubtree(len(lq), nr, nc) {
+		t0, timed := e.enterSmallTimer(len(lq))
+		e.searchGlobal(lq, rq[:nr], cq[:nc], 1)
+		e.exitSmallTimer(t0, timed)
+	}
 }
 
 // expandLNRoot generates root vp's first-level node and searches its
@@ -473,12 +417,9 @@ func (e *engine) lnRoot(rc *rootCursor, vp int32, rs *rootScratch) (stopped bool
 // R' when c[w] = |N(vp)|, vp dominates w when c[w] = deg(w), and a prefix
 // vertex with c[w] = |N(vp)| makes the root non-maximal, so a
 // non-maximal root costs one walk and builds no lists.
-func (e *engine) expandLNRoot(rc *rootCursor, vp int32, rs *rootScratch) {
+func (e *engine) expandLNRoot(vp int32) {
 	g := e.g
-	if g.DegV(vp) == 0 || rc.dominated(vp, vp) {
-		return
-	}
-	if e.stop.Hit() {
+	if g.DegV(vp) == 0 || e.dom.dominated(vp, vp) || e.stop.Hit() {
 		return
 	}
 	e.curRoot = vp
@@ -487,7 +428,8 @@ func (e *engine) expandLNRoot(rc *rootCursor, vp int32, rs *rootScratch) {
 	if e.skipChild != nil && e.skipChild(len(lq)) {
 		return
 	}
-	wedges := e.countTwoHop(vp, lq, rc, rs)
+	wedges := e.countTwoHop(vp, lq)
+	rs := &e.rs
 	cnt := e.vVal
 	full := int32(len(lq))
 	if e.collect {
@@ -506,7 +448,7 @@ func (e *engine) expandLNRoot(rc *rootCursor, vp int32, rs *rootScratch) {
 	for _, vc := range rs.suffix {
 		m := cnt[vc]
 		if m == int32(g.DegV(vc)) {
-			rc.recordDominator(vc, vp)
+			e.dom.record(vc, vp)
 			if e.collect {
 				e.metrics.NodesPruned++
 			}
@@ -572,18 +514,6 @@ func (e *engine) emit(L, R []int32) {
 	}
 	if e.sink != nil {
 		e.sink.Emit(e.wid, e.curRoot, L, R)
-	}
-}
-
-// rootDone reports that root vp's inline pass is finished — every path
-// that advances a serial root loop past vp (including degree-0, pruned,
-// and skip-filter shortcuts) must land here, because the frontier
-// watermark treats an unreported root as still in flight. Stop paths
-// return without reporting: an interrupted root stays below the
-// watermark. A one-root claim reports through its cursor instead.
-func (e *engine) rootDone(vp int32) {
-	if e.frontier != nil {
-		e.frontier.RootInlineDone(vp)
 	}
 }
 

@@ -90,8 +90,8 @@ func shouldSpawn(pool *sched.Pool[*detachedNode], w, nCand int) bool {
 // workers steal the oldest), the adaptive spawn cutoff above, and
 // reservation-before-copy — sched.Pool.CanPush is a guaranteed
 // reservation, so the arena detach deep-copy is only ever paid for a subtree
-// that will actually be queued. Every worker starts in the LN root loop,
-// claiming first-level roots one at a time from one run-wide cursor, so
+// that will actually be queued. Every worker starts in the root loop,
+// taking first-level roots one at a time from one run-wide cursor, so
 // the root level (each root's two-hop wedge walks) is shared too.
 // Neither spawn decisions (a declined offer recurses inline with
 // identical semantics) nor the order roots finish in change the
@@ -119,10 +119,11 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 		pool.SetObserver(poolObserver{rec: opts.Obs})
 	}
 	// Seed one root task per worker, on that worker's own deque. Each root
-	// task runs the LN root loop over roots it claims one at a time from
-	// the run-wide cursor; once the cursor is exhausted its worker drains
+	// task runs the root loop over the run-wide cursor, sharing one
+	// domination record; once the cursor is exhausted its worker drains
 	// subtrees like any other.
-	roots := newRootCursor(opts.StartRoot, rootFrontierEnd(opts, g.NV()), g.NV(), true, opts.Frontier, shared.AddMem)
+	roots := NewRootCursor(&opts, g.NV())
+	dom := newRootDom(g.NV(), shared.AddMem)
 	seeds := make([]*detachedNode, threads)
 	for w := range seeds {
 		seeds[w] = &detachedNode{isRoot: true, owner: w}
@@ -148,6 +149,7 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				workerOpts.OnBiclique = shard.emit
 			}
 			e := newEngine(g, workerOpts, shared, w)
+			e.dom = dom
 			if shard != nil {
 				shard.charge = e.chargeMem
 			}
@@ -204,19 +206,19 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				n.mem = n.memBytes()
 				e.stop.AddMem(n.mem)
 				// The frontier must learn of the task before any thief can
-				// report it done, so the spawn registers ahead of the push.
+				// end it, so the task begins ahead of the push.
 				if fr := e.frontier; fr != nil {
-					fr.TaskSpawned(n.root)
+					fr.Begin(n.root)
 				}
 				pool.Push(w, n)
 				return true
 			}
 
-			// runTask executes one task with panic isolation. TaskDone and
-			// the memory-gauge release run on every exit path — normal,
-			// skipped, or panicking — so the pool always drains and the
-			// gauge tracks the live detached-node footprint, not
-			// cumulative spawn traffic.
+			// runTask executes one task with panic isolation. The pool's
+			// TaskDone, the frontier's End and the memory-gauge release run
+			// on every exit path — normal, skipped, or panicking — so the
+			// pool always drains and the gauge tracks the live
+			// detached-node footprint, not cumulative spawn traffic.
 			runTask := func(n *detachedNode) {
 				e.ctr.Tasks++
 				if n.owner != w {
@@ -224,19 +226,12 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				}
 				// Registered first so it runs last, after the panic
 				// recovery below has tripped the shared stop state: a
-				// panicked or stop-interrupted task must report Discarded
-				// (freezing the checkpoint watermark), never Done. The
-				// forced Poll sees sibling trips the local stopper hasn't
-				// observed yet — conservatively discarding a subtree that
-				// did complete is safe; the converse would corrupt resume.
+				// panicked or stop-interrupted subtree ends not done
+				// (freezing the checkpoint watermark), as the root cursor
+				// ends a root, and by the same forced Poll. A root task's
+				// roots are ended by the cursor itself.
 				if fr := e.frontier; fr != nil && !n.isRoot {
-					defer func() {
-						if e.stop.Poll() {
-							fr.TaskDiscarded(n.root)
-						} else {
-							fr.TaskDone(n.root)
-						}
-					}()
+					defer func() { fr.End(n.root, !e.stop.Poll()) }()
 				}
 				defer obs.TraceRegion("mbe/task").End()
 				defer pool.TaskDone()
@@ -258,7 +253,7 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 					return
 				}
 				if n.isRoot {
-					e.runLNRoot(roots)
+					roots.Run(&e.stop, e.expandRoot)
 				} else {
 					e.curRoot = n.root
 					e.searchLN(n.L, n.R, n.candIDs, n.candNbrs, n.exclIDs, n.exclNbrs, n.depth)

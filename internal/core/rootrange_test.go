@@ -21,6 +21,9 @@ func TestValidateRootRange(t *testing.T) {
 		{5, 5, false},      // empty
 		{7, 3, false},      // reversed
 		{0, nv + 1, false}, // past the graph
+		{11, 0, false},     // open-ended suffix starting past the graph
+		{10, 0, true},      // a resumed run whose watermark reached the end
+		{-1, 5, false},     // negative start
 	}
 	for _, c := range cases {
 		err := ValidateRootRange(c.start, c.end, nv)
@@ -77,6 +80,8 @@ func TestEndRootValidationAtEnumerate(t *testing.T) {
 		{StartRoot: 4, EndRoot: 4},
 		{StartRoot: 5, EndRoot: 2},
 		{EndRoot: int32(g.NV()) + 1},
+		{StartRoot: int32(g.NV()) + 1},
+		{StartRoot: -1},
 	} {
 		if _, err := Enumerate(g, bad); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("Enumerate with range [%d,%d) returned %v, want ErrBadOptions", bad.StartRoot, bad.EndRoot, err)

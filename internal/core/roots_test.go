@@ -16,125 +16,146 @@ import (
 	"repro/internal/vset"
 )
 
-// claimRoots runs workers goroutines that claim one root at a time from
-// rc until it is exhausted, releasing each claim through release. It
-// fails the test unless every root of [start, end) is handed out exactly
-// once and each goroutine sees its roots in ascending order.
-func claimRoots(t *testing.T, rc *rootCursor, start, end int32, workers int, release func(r int32)) {
-	t.Helper()
-	claimed := make([][]int32, workers)
-	var wg sync.WaitGroup
-	for w := range claimed {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo, hi := rc.claim()
-				if lo == hi {
-					return
-				}
-				claimed[w] = append(claimed[w], lo)
-				if hi != lo+1 {
-					t.Errorf("one-root claim handed out [%d, %d)", lo, hi)
-				}
-				release(lo)
-			}
-		}()
-	}
-	wg.Wait()
+// checkedFrontier wraps a checkpoint frontier and, after every root
+// that ends done, checks the watermark the cursor promises: the least
+// root begun and not yet ended, or the next root not yet begun. At the
+// first root that ends not done it records that root as frozenAt
+// instead, before forwarding the End that freezes the frontier.
+type checkedFrontier struct {
+	t        *testing.T
+	fr       *ckpt.Frontier
+	mu       sync.Mutex
+	start    int32
+	next     int32 // next root to begin
+	ended    []bool
+	frozenAt int32 // -1 until a root ends not done
+}
 
-	seen := make([]int, end)
-	for w, roots := range claimed {
-		for i, r := range roots {
-			if i > 0 && r <= roots[i-1] {
-				t.Errorf("worker %d claimed %d after %d", w, r, roots[i-1])
-			}
-			if r < start || r >= end {
-				t.Fatalf("worker %d claimed %d outside [%d, %d)", w, r, start, end)
-			}
-			seen[r]++
-		}
+func newCheckedFrontier(t *testing.T, start, end int32) *checkedFrontier {
+	return &checkedFrontier{t: t, fr: ckpt.NewFrontier(start, end), start: start, next: start, ended: make([]bool, end), frozenAt: -1}
+}
+
+func (c *checkedFrontier) Begin(r int32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r != c.next {
+		c.t.Errorf("root %d began, want %d next", r, c.next)
 	}
-	for r := start; r < end; r++ {
-		if seen[r] != 1 {
-			t.Errorf("root %d claimed %d times", r, seen[r])
+	c.next = r + 1
+	c.fr.Begin(r)
+}
+
+func (c *checkedFrontier) End(r int32, done bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !done {
+		if c.frozenAt < 0 {
+			c.frozenAt = c.smallestUnfinished()
 		}
+		c.fr.End(r, false)
+		return
+	}
+	c.fr.End(r, true)
+	c.ended[r] = true
+	if got, want := c.fr.Watermark(), c.smallestUnfinished(); !c.fr.Frozen() && got != want {
+		c.t.Errorf("after root %d ended: watermark %d, want %d", r, got, want)
 	}
 }
 
-// smallestUnfinished is the watermark the claim protocol promises: the
-// least claimed root not yet released, or the next unclaimed root. A
-// concurrent claim never changes it, so only releases need serializing
-// against it.
-func smallestUnfinished(rc *rootCursor, start int32, released []bool) int32 {
-	rc.mu.Lock()
-	next := rc.next
-	rc.mu.Unlock()
-	for r := start; r < next; r++ {
-		if !released[r] {
+func (c *checkedFrontier) smallestUnfinished() int32 {
+	for r := c.start; r < c.next; r++ {
+		if !c.ended[r] {
 			return r
 		}
 	}
-	return next
+	return c.next
 }
 
-// TestRootClaimsFrontier drives the ParAdaMBE claim protocol against a
-// real checkpoint frontier: 8 goroutines claim one root at a time from
-// [StartRoot, EndRoot), and after every release the watermark must equal
-// the smallest unfinished claim.
+// runCursor runs workers goroutines over one cursor, each with its own
+// stopper on one shared stop state, expanding roots with expand. It
+// fails the test unless every goroutine sees its roots in ascending
+// order and no root is handed out twice, and returns how many times
+// each root was handed out.
+func runCursor(t *testing.T, rc *RootCursor, end int32, workers int, expand func(r int32, stop *tle.Stopper)) []int {
+	t.Helper()
+	shared := &tle.Shared{}
+	got := make([][]int32, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stop := tle.NewStopper(shared, tle.Config{})
+			rc.Run(&stop, func(r int32) {
+				got[w] = append(got[w], r)
+				expand(r, &stop)
+			})
+		}()
+	}
+	wg.Wait()
+	seen := make([]int, end)
+	for w, roots := range got {
+		for i, r := range roots {
+			if i > 0 && r <= roots[i-1] {
+				t.Errorf("worker %d got root %d after %d", w, r, roots[i-1])
+			}
+			seen[r]++
+			if seen[r] > 1 {
+				t.Errorf("root %d handed out %d times", r, seen[r])
+			}
+		}
+	}
+	return seen
+}
+
+// TestRootClaimsFrontier drives the root cursor against a real
+// checkpoint frontier: 8 goroutines take roots one at a time from
+// [StartRoot, EndRoot), and after every root ends the watermark must
+// equal the smallest unfinished root.
 func TestRootClaimsFrontier(t *testing.T) {
 	const start, end, workers = 7, 1500, 8
-	fr := ckpt.NewFrontier(start, end)
-	rc := newRootCursor(start, end, end, true, fr, func(int64) {})
-	var mu sync.Mutex // serializes each release with its watermark check
-	released := make([]bool, end)
-	claimRoots(t, rc, start, end, workers, func(r int32) {
-		mu.Lock()
-		defer mu.Unlock()
-		rc.release(r, false)
-		released[r] = true
-		if got, want := fr.Watermark(), smallestUnfinished(rc, start, released); got != want {
-			t.Errorf("after releasing %d: watermark %d, want %d", r, got, want)
+	fr := newCheckedFrontier(t, start, end)
+	seen := runCursor(t, NewRootCursor(&Options{StartRoot: start, EndRoot: end, Frontier: fr}, end), end, workers, func(int32, *tle.Stopper) {})
+	for r := int32(0); r < end; r++ {
+		if want := btoi(r >= start); seen[r] != want {
+			t.Errorf("root %d handed out %d times, want %d", r, seen[r], want)
 		}
-	})
-	if got := fr.Watermark(); got != end || !fr.Complete() {
-		t.Fatalf("all claims released: watermark %d complete=%v, want %d and complete", got, fr.Complete(), end)
+	}
+	if got := fr.fr.Watermark(); got != end || !fr.fr.Complete() {
+		t.Fatalf("all roots ended: watermark %d complete=%v, want %d and complete", got, fr.fr.Complete(), end)
 	}
 }
 
-// TestRootClaimStoppedFreezes: a claim ended as stopped (its subtree may
-// be incomplete) freezes the watermark where it stood, below that root,
-// however many later claims finish.
+// TestRootClaimStoppedFreezes: a root whose expansion stops the run ends
+// not done, every worker winds down, and the watermark freezes where it
+// stood, at or below that root.
 func TestRootClaimStoppedFreezes(t *testing.T) {
 	const start, end, workers, stopAt = 0, 1500, 8, 600
-	fr := ckpt.NewFrontier(start, end)
-	rc := newRootCursor(start, end, end, true, fr, func(int64) {})
-	var mu sync.Mutex
-	released := make([]bool, end)
-	frozenAt := int32(-1)
-	claimRoots(t, rc, start, end, workers, func(r int32) {
-		mu.Lock()
-		defer mu.Unlock()
+	fr := newCheckedFrontier(t, start, end)
+	runCursor(t, NewRootCursor(&Options{Frontier: fr}, end), end, workers, func(r int32, stop *tle.Stopper) {
 		if r == stopAt {
-			frozenAt = smallestUnfinished(rc, start, released)
-			rc.release(r, true)
-			return
+			stop.Fail(tle.Canceled)
 		}
-		rc.release(r, false)
-		released[r] = true
 	})
-	if !fr.Frozen() {
-		t.Fatal("a stopped claim did not freeze the frontier")
+	if !fr.fr.Frozen() {
+		t.Fatal("a stopped root did not freeze the frontier")
 	}
-	if got := fr.Watermark(); got != frozenAt || got > stopAt {
-		t.Fatalf("watermark %d after the freeze, want %d (at or below the stopped root %d)", got, frozenAt, stopAt)
+	if got := fr.fr.Watermark(); got != fr.frozenAt || got > stopAt {
+		t.Fatalf("watermark %d after the freeze, want %d (at or below the stopped root %d)", got, fr.frozenAt, stopAt)
 	}
-	if fr.Complete() {
-		t.Fatal("a frontier with a stopped claim reports complete")
+	if fr.fr.Complete() || fr.next >= end {
+		t.Fatalf("the run handed out roots up to %d after the stop at %d (complete=%v)", fr.next, stopAt, fr.fr.Complete())
 	}
 }
 
-// TestRootDominationOutOfOrder runs the LN root loop one root at a time in
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestRootDominationOutOfOrder expands the LN roots one at a time in
 // orders a ParAdaMBE schedule can produce at worst — every root after all
 // later ones, and random orders — sharing one domination record. Each
 // root then reads records written by roots above it, which must not make
@@ -165,10 +186,9 @@ func TestRootDominationOutOfOrder(t *testing.T) {
 			e := newEngine(g, Options{Variant: Ada, OnBiclique: func(L, R []int32) {
 				got = append(got, BicliqueKey(L, R))
 			}}, &tle.Shared{}, 0)
-			rc := newRootCursor(0, nv, int(nv), true, nil, func(int64) {})
+			e.dom = newRootDom(int(nv), func(int64) {})
 			for _, r := range roots {
-				rc.next, rc.end = r, r+1
-				e.runLNRoot(rc)
+				e.expandRoot(r)
 			}
 			sort.Strings(got)
 			if !keysEqual(got, want) {
@@ -264,7 +284,7 @@ func cloneLists(lists [][]int32) [][]int32 {
 // TestLNRootBuild checks every LN root's node against referenceRoot, on
 // uniform and hub-heavy (power-law) random graphs: R', the candidate and
 // excluded ids, their local neighborhoods and the dominators recorded.
-// The cursor is pre-seeded with records both below and above each root,
+// The record is pre-seeded with entries both below and above each root,
 // so both walks over N(vp) meet skipped vertices, and the roots run in a
 // random order, as ParAdaMBE workers can finish them, so some meet a
 // violator their dominator has not yet recorded. The emission handler
@@ -282,16 +302,16 @@ func TestLNRootBuild(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			nv := int32(g.NV())
 			rng := rand.New(rand.NewSource(int64(nv)))
-			rc := newRootCursor(0, nv, int(nv), false, nil, func(int64) {})
-			for w := range rc.dom {
+			rd := newRootDom(int(nv), func(int64) {})
+			for w := range rd {
 				if rng.Intn(4) == 0 {
-					rc.dom[w].Store(rng.Int31n(nv))
+					rd[w].Store(rng.Int31n(nv))
 				}
 			}
 			record := func() []int32 {
 				dom := make([]int32, nv)
 				for w := range dom {
-					dom[w] = rc.dom[w].Load()
+					dom[w] = rd[w].Load()
 				}
 				return dom
 			}
@@ -303,21 +323,21 @@ func TestLNRootBuild(t *testing.T) {
 				got.L, got.R = slices.Clone(L), slices.Clone(R)
 				if vp > 0 {
 					w, z := rng.Int31n(nv), rng.Int31n(vp)
-					rc.recordDominator(w, z)
+					rd.record(w, z)
 					lowered = append(lowered, w, z)
 				}
 			}}, &tle.Shared{}, 0)
+			e.dom = rd
 			e.spawn = func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool {
 				got.cand, got.candNbrs = append([]int32(nil), candIDs...), cloneLists(candNbrs)
 				got.excl, got.exclNbrs = append([]int32(nil), exclIDs...), cloneLists(exclNbrs)
 				return true
 			}
-			var rs rootScratch
 			for _, r := range rng.Perm(int(nv)) {
 				vp = int32(r)
 				want := referenceRoot(g, vp, record())
 				got, lowered = rootNode{}, lowered[:0]
-				e.expandLNRoot(rc, vp, &rs)
+				e.expandLNRoot(vp)
 				got.dom = record()
 				for i := 0; i < len(lowered); i += 2 {
 					w, z := lowered[i], lowered[i+1]

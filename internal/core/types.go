@@ -80,23 +80,24 @@ type Sink interface {
 	Emit(worker int, root int32, L, R []int32)
 }
 
-// FrontierObserver tracks root-subtree completion for checkpointing.
-// The engine guarantees: a serial root loop fires RootInlineDone(r) when
-// it finishes root r's inline pass (ascending order, exactly once per
-// root at or above StartRoot, on every skip path too). ParAdaMBE workers
-// instead claim roots one at a time and finish them in any order: a
-// claim of r fires TaskSpawned(r) and then RootInlineDone(r), claims in
-// ascending order of r, and the claim then ends like a spawned task.
-// TaskSpawned(r) fires BEFORE a subtree task tagged r enters the
-// scheduler; each claim and each spawned task fires exactly one of
-// TaskDone (fully enumerated) or TaskDiscarded (the run is stopping and
-// the work is incomplete). Implementations must be safe for concurrent
-// use. See internal/ckpt.
+// FrontierObserver tracks root-subtree completion for checkpointing, in
+// two calls: Begin(r) when a piece of root r's work begins, End(r, done)
+// when it ends. The engine guarantees:
+//
+//   - the root cursor (RootCursor) begins every root of [StartRoot,
+//     EndRoot) exactly once, in ascending order, skipped roots included,
+//     and ends it once its expansion returns;
+//   - a ParAdaMBE subtree detached from root r begins BEFORE it enters
+//     the scheduler, while r's expansion is still in flight, and ends
+//     when its task returns;
+//   - every Begin is matched by exactly one End, whose done is true only
+//     when the work ran to completion: a stop or a panic ends it with
+//     done false, and its output may then be incomplete.
+//
+// Implementations must be safe for concurrent use. See internal/ckpt.
 type FrontierObserver interface {
-	RootInlineDone(root int32)
-	TaskSpawned(root int32)
-	TaskDone(root int32)
-	TaskDiscarded(root int32)
+	Begin(root int32)
+	End(root int32, done bool)
 }
 
 // Handler receives each maximal biclique (L ⊆ U, R ⊆ V). The slices are
@@ -173,15 +174,16 @@ type Options struct {
 	// FrontierObserver type); internal/ckpt derives the checkpoint
 	// watermark from it.
 	Frontier FrontierObserver
-	// StartRoot makes the root loops begin at this root vertex instead of
+	// StartRoot makes the root loop begin at this root vertex instead of
 	// 0, skipping every earlier root subtree entirely. A resumed run sets
 	// it to the checkpoint watermark: roots below it are already durable.
+	// A StartRoot past |V| is rejected by Enumerate.
 	// Root-side pruning state from the skipped prefix is not replayed —
 	// that is sound (formerly-pruned roots re-enumerate to nothing but
 	// non-maximal nodes; see docs/DURABILITY.md) but means a resumed run
 	// may expand more nodes than the original would have.
 	StartRoot int32
-	// EndRoot, when positive, makes the root loops stop before this root
+	// EndRoot, when positive, makes the root loop stop before this root
 	// vertex: only the subtrees of roots in [StartRoot, EndRoot) are
 	// enumerated. Zero means |V| (every root). Because root subtrees
 	// partition the output — each maximal biclique is emitted exactly
@@ -314,7 +316,7 @@ type Result struct {
 // motivation and breakdown figures. Under the parallel engine the
 // scheduler counters and the time split depend on the schedule, and the
 // tree-shape counters may vary slightly between runs as well: a root
-// claimed before the root that dominates it has recorded that domination
+// taken before the root that dominates it has recorded that domination
 // is expanded instead of skipped. The counters this touches are
 // NodesGenerated, NodesNonMaximal, NodesPruned, SetIntersections, the
 // access counters, CGHist and the bitmap counts; the bicliques found
@@ -463,15 +465,21 @@ func rootFrontierEnd(opts Options, nv int) int32 {
 }
 
 // ValidateRootRange checks a [start, end) root range against a graph
-// with nv roots: end == 0 means "to the last root" and is always valid;
-// a negative, empty, or reversed range, or one reaching past nv, is an
-// ErrBadOptions. Shared by every layer that plumbs StartRoot/EndRoot
-// (core, baselines, the public API and internal/dist), so the error
-// vocabulary cannot drift between them.
+// with nv roots: end == 0 means "to the last root", and start == nv
+// with it is the empty tail a resumed run whose watermark reached the
+// end asks for. A negative start or end, a start past nv, an empty or
+// reversed range, or one reaching past nv, is an ErrBadOptions. Shared
+// by every layer that plumbs StartRoot/EndRoot (core, baselines, the
+// public API and internal/dist), so the error vocabulary cannot drift
+// between them.
 func ValidateRootRange(start, end int32, nv int) error {
 	switch {
+	case start < 0:
+		return fmt.Errorf("%w: negative StartRoot %d", ErrBadOptions, start)
 	case end < 0:
 		return fmt.Errorf("%w: negative EndRoot %d", ErrBadOptions, end)
+	case end == 0 && start > int32(nv):
+		return fmt.Errorf("%w: StartRoot %d exceeds the graph's %d roots", ErrBadOptions, start, nv)
 	case end == 0:
 		return nil
 	case end <= start:
@@ -531,9 +539,6 @@ func Enumerate(g *graph.Bipartite, opts Options) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("%w: unknown variant %d", ErrBadOptions, int(opts.Variant))
 	}
-	if opts.StartRoot < 0 {
-		return Result{}, fmt.Errorf("%w: negative StartRoot %d", ErrBadOptions, opts.StartRoot)
-	}
 	if err := ValidateRootRange(opts.StartRoot, opts.EndRoot, g.NV()); err != nil {
 		return Result{}, err
 	}
@@ -569,6 +574,9 @@ func Enumerate(g *graph.Bipartite, opts Options) (Result, error) {
 // partial count and metrics gathered so far.
 func enumerateSerial(g *graph.Bipartite, opts Options, shared *tle.Shared) (res Result, err error) {
 	e := newEngine(g, opts, shared, 0)
+	if opts.Variant == LN || opts.Variant == Ada {
+		e.dom = newRootDom(g.NV(), e.chargeMem)
+	}
 	e.probe.SetState(obs.StateBusy)
 	defer func() {
 		e.publish()
@@ -581,6 +589,6 @@ func enumerateSerial(g *graph.Bipartite, opts Options, shared *tle.Shared) (res 
 			err = panicError("serial engine", r)
 		}
 	}()
-	e.run()
+	e.run(NewRootCursor(&opts, g.NV()))
 	return res, nil
 }

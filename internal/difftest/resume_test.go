@@ -26,7 +26,9 @@ func resumeGraphs() []*graph.Bipartite {
 
 // TestResumeEquality is the tentpole acceptance matrix: for every graph
 // × interrupt point × engine cell (serial AdaMBE, ParAdaMBE at 4 and 8
-// threads and at 2 threads under random order, BBK), an
+// threads and at 2 threads under random order, BBK, and the serial
+// Baseline, AdaMBE-LN and AdaMBE-BIT, so every rooted engine's root
+// expansion runs under the root loop's frontier protocol), an
 // interrupted-then-resumed spooled run must produce a spool whose digest
 // equals an uninterrupted enumeration of the same graph — zero dropped,
 // zero duplicated bicliques, proven by multiset fingerprint rather than
@@ -50,6 +52,9 @@ func TestResumeEquality(t *testing.T) {
 		// domination record, with interrupts inside the parallel root loop.
 		{"threads=2/order=rand", Config{Engine: EngParAda, Order: order.Random, Seed: 3, Threads: 2}},
 		{"engine=BBK", Config{Engine: EngBBK, Order: order.DegreeAscending, Threads: 1}},
+		{"engine=Baseline", Config{Engine: EngBaseline, Order: order.DegreeAscending, Threads: 1}},
+		{"engine=AdaMBE-LN", Config{Engine: EngLN, Order: order.DegreeAscending, Threads: 1}},
+		{"engine=AdaMBE-BIT", Config{Engine: EngBIT, Order: order.DegreeAscending, Threads: 1}},
 	}
 
 	for gi, g := range graphs {

@@ -15,7 +15,7 @@ import (
 // startLoadTarget boots a real mbed server on a loopback port.
 func startLoadTarget(t *testing.T) string {
 	t.Helper()
-	srv, err := server.New(server.Config{Dir: t.TempDir(), Concurrency: 2, Logf: t.Logf})
+	srv, err := server.New(server.Config{Dir: t.TempDir(), Concurrency: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,11 +59,8 @@ type Config struct {
 	// Logger receives the daemon's structured operational events (one
 	// slog record per job state transition, admission decision, shed,
 	// recovery action — each carrying trace_id and job_id). cmd/mbed
-	// selects a text or JSON handler via -log-format.
+	// selects a text or JSON handler via -log-format. Nil = silent.
 	Logger *slog.Logger
-	// Logf is the legacy printf-style sink; when Logger is nil it is
-	// adapted into one (tests pass t.Logf). Nil both = silent.
-	Logf func(format string, args ...any)
 	// FaultHook is the server-side fault-injection seam (see
 	// internal/faultinject): called at named sites ("server/attempt");
 	// a non-nil return is treated as that site failing.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -45,8 +46,8 @@ func startDaemon(t *testing.T, cfg server.Config) *testDaemon {
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(testLog{t}, nil))
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -56,6 +57,14 @@ func startDaemon(t *testing.T, cfg server.Config) *testDaemon {
 	d := &testDaemon{t: t, srv: srv, ts: ts}
 	t.Cleanup(func() { d.stop() })
 	return d
+}
+
+// testLog writes the daemon's log lines through t.Log.
+type testLog struct{ t *testing.T }
+
+func (w testLog) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 func (d *testDaemon) stop() {

@@ -5,7 +5,9 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -65,56 +67,16 @@ func traceFrom(ctx context.Context) string {
 // --- slog plumbing ---------------------------------------------------
 
 // logger resolves the Config's logging surface into one *slog.Logger:
-// Logger wins, a legacy Logf func is adapted, and nothing configured
-// means discard. Every operational event in the daemon goes through
-// this — there is no second, ad-hoc log path.
+// Logger, or a discarding one when it is nil. Every operational event in
+// the daemon goes through this — there is no second, ad-hoc log path.
 func (c Config) logger() *slog.Logger {
 	if c.Logger != nil {
 		return c.Logger
 	}
-	if c.Logf != nil {
-		return slog.New(logfHandler{logf: c.Logf})
-	}
-	return slog.New(noopHandler{})
+	// slog.DiscardHandler needs Go 1.24; go.mod declares 1.23. A level
+	// above every record's disables the handler just as cheaply.
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 }
-
-// logfHandler adapts a printf-style sink (tests pass t.Logf) into a
-// slog.Handler: one line per event, "msg key=value ..." — structured
-// enough to grep, flat enough for a test log.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	emit := func(a slog.Attr) {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(func(a slog.Attr) bool { emit(a); return true })
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return logfHandler{logf: h.logf, attrs: append(append([]slog.Attr{}, h.attrs...), attrs...)}
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
-
-// noopHandler discards everything (Config with neither Logger nor Logf).
-type noopHandler struct{}
-
-func (noopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (noopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (noopHandler) WithAttrs([]slog.Attr) slog.Handler        { return noopHandler{} }
-func (noopHandler) WithGroup(string) slog.Handler             { return noopHandler{} }
 
 // --- HTTP instrumentation -------------------------------------------
 
