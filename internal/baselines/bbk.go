@@ -78,7 +78,7 @@ func runBBK(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (res core
 	}
 	e.stop = tle.NewStopper(shared, opts.StopConfig())
 	e.ids.OnGrow = e.stop.AddMem
-	e.stop.AddMem(int64(g.NV()) * 4) // two-hop mark table
+	e.stop.AddMem(twoHopBytes(g)) // two-hop mark table and ordering bit set
 	defer func() {
 		if m := opts.Metrics; m != nil {
 			m.NodesGenerated += e.nodesGen

@@ -141,9 +141,10 @@ func newGMBEWarp(g *graph.Bipartite, handler core.Handler, opts core.Options, sh
 	}
 	w.stop = tle.NewStopper(shared, opts.StopConfig())
 	w.ids.OnGrow = w.stop.AddMem
-	// The bitmap and mark table are part of each warp's pre-allocated
-	// footprint; slab reservations below are charged through OnGrow.
-	w.stop.AddMem(int64(g.NU())/8 + int64(g.NV())*4)
+	// The bitmap and the two-hop tables are part of each warp's
+	// pre-allocated footprint; slab reservations below are charged through
+	// OnGrow.
+	w.stop.AddMem(int64(g.NU())/8 + twoHopBytes(g))
 	// GMBE pre-allocates each thread's worst-case node storage up front;
 	// mirror that by reserving slab space for the widest possible node
 	// (candidates + excluded + R all bounded by |V|, L by Δ(V)).

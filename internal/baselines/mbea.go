@@ -55,7 +55,7 @@ func runMBEA(g *graph.Bipartite, cfg mbeaConfig, opts core.Options, shared *tle.
 	e := &mbeaEngine{g: g, cfg: cfg, handler: opts.OnBiclique, hook: opts.FaultHook}
 	e.stop = tle.NewStopper(shared, opts.StopConfig())
 	e.ids.OnGrow = e.stop.AddMem
-	e.stop.AddMem(int64(g.NV()) * 4) // two-hop mark table
+	e.stop.AddMem(twoHopBytes(g)) // two-hop mark table and ordering bit set
 	defer func() {
 		res = core.Result{Count: e.count, StopReason: core.StopReasonOf(e.stop.Reason())}
 		if r := recover(); r != nil {

@@ -1,9 +1,9 @@
 package baselines
 
 import (
-	"slices"
-
+	"repro/internal/bitset"
 	"repro/internal/graph"
+	"repro/internal/vset"
 )
 
 // twoHop gathers the distinct two-hop V-neighbors of a root candidate,
@@ -16,12 +16,19 @@ type twoHop struct {
 	g      *graph.Bipartite
 	mark   []int32
 	epoch  int32
-	suffix []int32 // two-hop ids > v' (future candidates), sorted
-	prefix []int32 // two-hop ids < v' (already traversed)
+	suffix []int32  // two-hop ids > v' (future candidates), sorted
+	prefix []int32  // two-hop ids < v' (already traversed)
+	order  []uint64 // vset.SortIDs's bit set, one bit per V vertex
+}
+
+// twoHopBytes is the fixed footprint of one twoHop on g, charged by its
+// owner: the mark table and the suffix ordering's bit set.
+func twoHopBytes(g *graph.Bipartite) int64 {
+	return int64(g.NV())*4 + int64(bitset.WordsFor(g.NV()))*8
 }
 
 func newTwoHop(g *graph.Bipartite) *twoHop {
-	t := &twoHop{g: g, mark: make([]int32, g.NV())}
+	t := &twoHop{g: g, mark: make([]int32, g.NV()), order: make([]uint64, bitset.WordsFor(g.NV()))}
 	for i := range t.mark {
 		t.mark[i] = -1
 	}
@@ -51,5 +58,5 @@ func (t *twoHop) gather(vp int32, lq []int32) {
 			}
 		}
 	}
-	slices.Sort(t.suffix)
+	vset.SortIDs(t.suffix, t.order)
 }

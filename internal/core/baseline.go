@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/obs"
-
 // searchGlobal is Algorithm 1 from the paper: backtracking enumeration that
 // performs every set intersection against the *original* adjacency lists
 // and checks maximality by computing Γ(L') globally. It implements the
@@ -15,11 +13,7 @@ func (e *engine) searchGlobal(L, R []int32, cand []int32, depth int) {
 		return
 	}
 	if e.variant == BIT && len(L) <= e.tau && len(cand) > 0 {
-		e.ctr.Promotions++
-		cg := e.buildBitCGGlobal(L, R, cand)
-		reg := obs.TraceRegion("mbe/bit-subtree")
-		e.searchBitRoot(cg, R)
-		reg.End()
+		e.searchPromoted(e.buildBitCGGlobal(L, R, cand), R)
 		return
 	}
 

@@ -38,8 +38,10 @@ func BenchmarkVariant(b *testing.B) {
 
 // BenchmarkRootLevel times the LN root level alone: serial AdaMBE on the
 // IM analogue in ASC order, with SkipSubtree dropping every root's
-// subtree. Each root still walks its two-hop wedges, is classified,
-// emitted when maximal, and builds its candidate and excluded lists.
+// subtree. Each root still walks its two-hop wedges, orders its suffix,
+// is classified and emitted when maximal, and, when it has candidates,
+// walks its wedges again: into its bitmap CG's masks when |N(v')| ≤ τ,
+// as nearly every root does, and into its lists otherwise.
 func BenchmarkRootLevel(b *testing.B) {
 	spec, ok := datasets.ByName("IM")
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bitset"
+	"repro/internal/obs"
 )
 
 // bitCG is a bitmap-represented computational subgraph (§III-B): one
@@ -99,6 +100,24 @@ func (e *engine) maskWidth(lenL int) int {
 	return bitset.WordsFor(lenL)
 }
 
+// searchPromoted switches a node (L, R, C) with |L| ≤ τ and C ≠ ∅ to the
+// bitwise procedure (Algorithm 2 lines 4-7) over cg, its freshly built
+// bitmap CG: the stop check, the SiteBitmap fault step, the promotion and
+// bitmap counters, and the mbe/bit-subtree trace region around
+// searchBitRoot. Every switch (searchGlobal, searchLN, promoteRoot)
+// enters here; only how each builds cg differs.
+func (e *engine) searchPromoted(cg *bitCG, R []int32) {
+	if e.stop.Stopped() {
+		return
+	}
+	e.ctr.Promotions++
+	e.faultStep(SiteBitmap)
+	e.observeBitmap(cg.width)
+	reg := obs.TraceRegion("mbe/bit-subtree")
+	e.searchBitRoot(cg, R)
+	reg.End()
+}
+
 // observeBitmap counts a freshly built CG and its width histogram row.
 func (e *engine) observeBitmap(width int) {
 	e.ctr.Bitmaps++
@@ -111,7 +130,6 @@ func (e *engine) observeBitmap(width int) {
 // live excluded set, and each mask is the vertex's local neighborhood
 // re-encoded as bits.
 func (e *engine) buildBitCGFromLN(L []int32, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32) *bitCG {
-	e.faultStep(SiteBitmap)
 	epoch := e.stampEpoch()
 	for pos, u := range L {
 		e.uMark[u] = epoch
@@ -144,7 +162,6 @@ func (e *engine) buildBitCGFromLN(L []int32, candIDs []int32, candNbrs [][]int32
 	for j, x := range exclIDs {
 		fill(x, exclNbrs[j])
 	}
-	e.observeBitmap(width)
 	return cg
 }
 
@@ -154,7 +171,6 @@ func (e *engine) buildBitCGFromLN(L []int32, candIDs []int32, candNbrs [][]int32
 // registered first so candidate order is preserved, and every other member
 // of V_bit forming the excluded set.
 func (e *engine) buildBitCGGlobal(L, R, cand []int32) *bitCG {
-	e.faultStep(SiteBitmap)
 	epoch := e.stampEpoch()
 	for pos, u := range L {
 		e.uMark[u] = epoch
@@ -188,7 +204,6 @@ func (e *engine) buildBitCGGlobal(L, R, cand []int32) *bitCG {
 			cg.masks[int(k)*width+(pos>>6)] |= 1 << (uint(pos) & 63)
 		}
 	}
-	e.observeBitmap(width)
 	return cg
 }
 

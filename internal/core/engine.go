@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/bitset"
@@ -18,7 +17,7 @@ const (
 	SiteRoot = "core/root"
 	// SiteNode fires once per searchLN child-node expansion.
 	SiteNode = "core/node"
-	// SiteBitmap fires once per bitmap-CG build.
+	// SiteBitmap fires once per bitmap CG searched, after its build.
 	SiteBitmap = "core/bitmap"
 	// SiteSpawn fires once per subtree detached to the parallel queue.
 	SiteSpawn = "core/spawn"
@@ -82,7 +81,8 @@ type engine struct {
 	// vVal is the CG-local index of v within the current global bitmap
 	// (buildBitCGGlobal), or at an LN root first c[v] = |N(vp) ∩ N(v)|
 	// (countTwoHop) and then v's write offset into the root's list slab
-	// (fillRootLists), valid under the vMark epoch of the root's walk.
+	// (fillRootLists) or into its bitmap's masks (fillRootMasks), valid
+	// under the vMark epoch of the root's walk.
 	vVal []int32
 
 	// spawn, when non-nil, offers a generated maximal node to the parallel
@@ -154,9 +154,11 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 	for i := range e.allU {
 		e.allU[i] = int32(i)
 	}
+	e.rs.order = make([]uint64, bitset.WordsFor(g.NV()))
 	// Per-worker stamp tables and the root candidate list: 4 bytes each,
-	// three |U|-sized and two |V|-sized arrays.
-	e.chargeMem(int64(3*g.NU()+2*g.NV()) * 4)
+	// three |U|-sized and two |V|-sized arrays; then the suffix ordering's
+	// bit set, one bit per V vertex.
+	e.chargeMem(int64(3*g.NU()+2*g.NV())*4 + int64(len(e.rs.order))*8)
 	return e
 }
 
@@ -238,13 +240,26 @@ func (e *engine) expandRoot(vp int32) {
 // and AdaMBE-BIT intersect with each gathered vertex's adjacency list,
 // whose outside-CG part is what Fig. 5 counts.
 type rootScratch struct {
-	suffix []int32 // two-hop vertices with id > v' (future candidates)
-	prefix []int32 // two-hop vertices with id < v' (already traversed)
+	suffix []int32  // two-hop vertices with id > v' (future candidates)
+	prefix []int32  // two-hop vertices with id < v' (already traversed)
+	order  []uint64 // vset.SortIDs's bit set, one bit per V vertex
+	held   int64    // bytes of suffix and prefix capacity charged so far
+}
+
+// sortSuffix orders the gathered suffix ascending, so candidate order
+// matches the sequential semantics, and charges the memory gauge for the
+// capacity the walk's appends added to the suffix and prefix.
+func (e *engine) sortSuffix() {
+	rs := &e.rs
+	vset.SortIDs(rs.suffix, rs.order)
+	if held := int64(cap(rs.suffix)+cap(rs.prefix)) * 4; held > rs.held {
+		e.chargeMem(held - rs.held)
+		rs.held = held
+	}
 }
 
 // gatherTwoHop fills e.rs with the distinct two-hop neighbors of vp,
-// split around vp, using the engine's epoch stamps. The suffix is left
-// sorted ascending so candidate order matches the sequential semantics.
+// split around vp, using the engine's epoch stamps, and sorts the suffix.
 func (e *engine) gatherTwoHop(vp int32, lq []int32) {
 	rs := &e.rs
 	epoch := e.stampEpoch()
@@ -263,13 +278,13 @@ func (e *engine) gatherTwoHop(vp int32, lq []int32) {
 			}
 		}
 	}
-	slices.Sort(rs.suffix)
+	e.sortSuffix()
 }
 
-// skipCount is the count of a vertex root vp builds no list for: vp
-// itself and each vertex the root skips (countTwoHop), and the members of
-// R' (fillRootLists). Later wedges add at most |N(vp)| − 1 < 2^31 to it,
-// so it stays negative.
+// skipCount is the count of a vertex root vp builds no list or mask for:
+// vp itself and each vertex the root skips (countTwoHop), and the members
+// of R' (fillRootLists, fillRootMasks). Later wedges add at most
+// |N(vp)| − 1 < 2^31 to it, so it stays negative.
 const skipCount = math.MinInt32
 
 // countTwoHop walks every wedge vp–u–w with u ∈ lq = N(vp) once and fills
@@ -305,7 +320,7 @@ func (e *engine) countTwoHop(vp int32, lq []int32) (wedges int) {
 			}
 		}
 	}
-	slices.Sort(rs.suffix)
+	e.sortSuffix()
 	return wedges
 }
 
@@ -352,6 +367,39 @@ func (e *engine) fillRootLists(lq, rIDs, cand, excl []int32) (candNbrs, exclNbrs
 		}
 	}
 	return candNbrs, exclNbrs
+}
+
+// fillRootMasks builds root vp's bitmap CG in the pooled e.cg from the
+// counts countTwoHop left in e.vVal: the CG buildBitCGFromLN would build
+// from fillRootLists's lists, without the lists. L* is lq; candidate k
+// gets CG index k and excluded vertex j index len(cand)+j, and each count
+// becomes its mask's word offset. A second walk over lq in ascending order
+// then sets bit pos(u) in the mask of every indexed w ∈ N(u), so w's mask
+// is N(w) ∩ lq as bits. R' members (rIDs) and the vertices the first walk
+// skipped get no index, and the walk reads no domination record.
+func (e *engine) fillRootMasks(lq, rIDs, cand, excl []int32) *bitCG {
+	cnt := e.vVal
+	width := e.maskWidth(len(lq))
+	cg := &e.cg
+	cg.reset(width, lq, len(cand)+len(excl))
+	cg.vids = append(append(cg.vids, cand...), excl...)
+	cg.nCand = len(cand)
+	for k, w := range cg.vids {
+		cnt[w] = int32(k * width)
+	}
+	for _, w := range rIDs {
+		cnt[w] = skipCount
+	}
+	masks := cg.masks
+	for pos, u := range lq {
+		word, bit := int32(pos>>6), uint64(1)<<(uint(pos)&63)
+		for _, w := range e.g.NeighborsOfU(u) {
+			if o := cnt[w]; o >= 0 {
+				masks[o+word] |= bit
+			}
+		}
+	}
+	return cg
 }
 
 // expandGlobalRoot is Algorithm 1's root expansion (Baseline /
@@ -416,7 +464,10 @@ func (e *engine) expandGlobalRoot(vp int32) {
 // c[w] = |N(vp) ∩ N(w)| of countTwoHop (docs/CORRECTNESS.md §3): w joins
 // R' when c[w] = |N(vp)|, vp dominates w when c[w] = deg(w), and a prefix
 // vertex with c[w] = |N(vp)| makes the root non-maximal, so a
-// non-maximal root costs one walk and builds no lists.
+// non-maximal root costs one walk and builds nothing. A maximal root with
+// candidates walks its wedges a second time: under AdaMBE with
+// |N(vp)| ≤ τ (Algorithm 2 line 4) into its bitmap CG (promoteRoot),
+// otherwise into the lists searchLN takes.
 func (e *engine) expandLNRoot(vp int32) {
 	g := e.g
 	if g.DegV(vp) == 0 || e.dom.dominated(vp, vp) || e.stop.Hit() {
@@ -489,12 +540,16 @@ func (e *engine) expandLNRoot(vp int32) {
 	if nc == 0 {
 		return
 	}
+	if e.collect {
+		e.metrics.AccessesInsideCG += int64(wedges) // the second walk
+	}
 	// Every prefix vertex is live (c ≥ 1), so the excluded set is the
 	// whole prefix, in first-visit order.
-	cqNbrs, exNbrs := e.fillRootLists(lq, rq[1:nr], cqIDs[:nc], rs.prefix)
-	if e.collect {
-		e.metrics.AccessesInsideCG += int64(wedges)
+	if e.variant == Ada && len(lq) <= e.tau {
+		e.promoteRoot(lq, rq[:nr], cqIDs[:nc], rs.prefix)
+		return
 	}
+	cqNbrs, exNbrs := e.fillRootLists(lq, rq[1:nr], cqIDs[:nc], rs.prefix)
 	if e.skipSubtree != nil && e.skipSubtree(len(lq), nr, nc) {
 		return
 	}
@@ -504,6 +559,23 @@ func (e *engine) expandLNRoot(vp int32) {
 	t0, timed := e.enterSmallTimer(len(lq))
 	e.searchLN(lq, rq[:nr], cqIDs[:nc], cqNbrs, rs.prefix, exNbrs, 1)
 	e.exitSmallTimer(t0, timed)
+}
+
+// promoteRoot switches a maximal LN root with candidates and |L| ≤ τ to
+// the bitwise procedure, as searchLN switches any such node, but fills its
+// bitmap CG straight from the wedge counts (fillRootMasks). The root is
+// not offered to the parallel scheduler: its bitmap subtree is never split
+// further. The bitmap is built before SkipSubtree is consulted, as the
+// lists are, and counted as built, fault step included, only when its
+// subtree is searched.
+func (e *engine) promoteRoot(lq, R, cand, excl []int32) {
+	t0, timed := e.enterSmallTimer(len(lq))
+	defer e.exitSmallTimer(t0, timed)
+	cg := e.fillRootMasks(lq, R[1:], cand, excl)
+	if e.skipSubtree != nil && e.skipSubtree(len(lq), len(R), len(cand)) {
+		return
+	}
+	e.searchPromoted(cg, R)
 }
 
 // emit reports one maximal biclique.

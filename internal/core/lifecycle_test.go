@@ -213,15 +213,55 @@ func TestParallelCleanRunLeaksNothing(t *testing.T) {
 	checkLeaks()
 }
 
+// TestStoppedRootEntersNoBitmap fails the first root's SiteRoot step: the
+// root still completes its walk, but like any node reached after a stop
+// it must not enter the bitwise procedure, so no SiteBitmap step, no
+// promotion and no bitmap follow. Without the failure that root is
+// promoted at once, so the check is not vacuous.
+func TestStoppedRootEntersNoBitmap(t *testing.T) {
+	g := mustAdj(t, 8, [][]int32{
+		{0, 1, 2, 3}, {2, 3, 4, 5}, {4, 5, 6, 7}, {0, 1, 6, 7}, {0, 2, 4, 6},
+	})
+	for _, fail := range []bool{false, true} {
+		var sites []string
+		hook := func(site string) error {
+			sites = append(sites, site)
+			if fail && site == SiteRoot {
+				return errors.New("injected")
+			}
+			return nil
+		}
+		var m Metrics
+		res, err := Enumerate(g, Options{Variant: Ada, FaultHook: hook, Metrics: &m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fail {
+			if len(sites) < 2 || sites[0] != SiteRoot || sites[1] != SiteBitmap {
+				t.Fatalf("clean run: fault steps %v, want the first root promoted at once", sites)
+			}
+			continue
+		}
+		if res.StopReason != StopMemoryBudget {
+			t.Fatalf("StopReason = %v, want StopMemoryBudget", res.StopReason)
+		}
+		if len(sites) != 1 || m.BitPromotions != 0 || m.BitmapsCreated != 0 {
+			t.Fatalf("stopped run: fault steps %v, %d promotions, %d bitmaps; want only the root's step", sites, m.BitPromotions, m.BitmapsCreated)
+		}
+	}
+}
+
 // TestSpawnSiteFaultInjection exercises the detach/spawn instrumentation
 // point: a simulated allocation failure while detaching a subtree must
-// degrade the run, not corrupt it.
+// degrade the run, not corrupt it. A promoted root is never offered to
+// the scheduler, so τ sits below the roots' degrees to keep them on the
+// list path, which offers its subtrees.
 func TestSpawnSiteFaultInjection(t *testing.T) {
 	g := lifecycleGraph(t)
 	checkLeaks := faultinject.CheckGoroutines(t)
 	inj := faultinject.New(3)
 	inj.FailAllocAt(SiteSpawn, 2)
-	res, err := Enumerate(g, Options{Variant: Ada, Threads: 4, FaultHook: inj.Hook()})
+	res, err := Enumerate(g, Options{Variant: Ada, Tau: 4, Threads: 4, FaultHook: inj.Hook()})
 	if err != nil {
 		t.Fatal(err)
 	}

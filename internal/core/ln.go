@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/obs"
-
 // searchLN is the AdaMBE large-node procedure (Algorithm 2, lines 8-23):
 // enumeration driven entirely by *local* neighborhoods — the computational
 // subgraph (CG) of the current node — with the three LN redesigns of
@@ -30,11 +28,7 @@ func (e *engine) searchLN(L, R []int32, candIDs []int32, candNbrs [][]int32, exc
 		return
 	}
 	if e.variant == Ada && len(L) <= e.tau && len(candIDs) > 0 {
-		e.ctr.Promotions++
-		cg := e.buildBitCGFromLN(L, candIDs, candNbrs, exclIDs, exclNbrs)
-		reg := obs.TraceRegion("mbe/bit-subtree")
-		e.searchBitRoot(cg, R)
-		reg.End()
+		e.searchPromoted(e.buildBitCGFromLN(L, candIDs, candNbrs, exclIDs, exclNbrs), R)
 		return
 	}
 

@@ -92,7 +92,10 @@ func shouldSpawn(pool *sched.Pool[*detachedNode], w, nCand int) bool {
 // reservation, so the arena detach deep-copy is only ever paid for a subtree
 // that will actually be queued. Every worker starts in the root loop,
 // taking first-level roots one at a time from one run-wide cursor, so
-// the root level (each root's two-hop wedge walks) is shared too.
+// the root level (each root's two-hop wedge walks) is shared too. A root
+// promoted to a bitmap (|N(v')| ≤ τ, nearly every root) is searched where
+// it was built and never offered: a root task only pops its deque once
+// the cursor is exhausted, and a bitmap subtree is never split further.
 // Neither spawn decisions (a declined offer recurses inline with
 // identical semantics) nor the order roots finish in change the
 // enumerated set, so counts and bicliques are bit-identical to the serial
@@ -185,6 +188,8 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 					metricsMu.Unlock()
 				}
 			}()
+			// Offers come from LN roots above τ and from inner LN nodes; a
+			// root promoted to a bitmap is never offered (promoteRoot).
 			e.spawn = func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool {
 				if !shouldSpawn(pool, w, len(candIDs)) {
 					e.metrics.TasksInlined++

@@ -51,28 +51,40 @@ func collectParallel(t *testing.T, g *graph.Bipartite, opts Options) ([]string, 
 }
 
 // TestSchedulerCountsMatchSerial is the work-stealing correctness bar: for
-// every test graph and every pool width, counts and the exact biclique set
-// must match the serial engine.
+// every test graph, every pool width and τ, counts and the exact biclique
+// set must match the serial engine. At the default τ every root of the
+// random graphs is promoted to a bitmap and never offered to the
+// scheduler; at τ = 4 their roots and inner nodes take the list path, and
+// each random graph must detach subtrees beyond the root seeds.
 func TestSchedulerCountsMatchSerial(t *testing.T) {
 	for name, g := range schedTestGraphs(t) {
 		want, serial, err := CollectKeys(g, Options{Variant: Ada})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, threads := range []int{1, 2, 4, 8} {
-			var m Metrics
-			keys, res := collectParallel(t, g, Options{Variant: Ada, Threads: threads, Metrics: &m})
-			if res.Count != serial.Count {
-				t.Fatalf("%s threads=%d: count %d, serial %d", name, threads, res.Count, serial.Count)
+		for _, tau := range []int{0, 4} {
+			var detached int64
+			for _, threads := range []int{1, 2, 4, 8} {
+				var m Metrics
+				keys, res := collectParallel(t, g, Options{Variant: Ada, Tau: tau, Threads: threads, Metrics: &m})
+				if res.Count != serial.Count {
+					t.Fatalf("%s tau=%d threads=%d: count %d, serial %d", name, tau, threads, res.Count, serial.Count)
+				}
+				if !keysEqual(keys, want) {
+					t.Fatalf("%s tau=%d threads=%d: biclique sets differ", name, tau, threads)
+				}
+				if m.TasksSpawned < int64(threads) {
+					t.Fatalf("%s tau=%d threads=%d: TasksSpawned = %d, want ≥ %d (the seeds)", name, tau, threads, m.TasksSpawned, threads)
+				}
+				if m.MaxQueueDepth < 1 || m.MaxQueueDepth > int64(parallelQueueCap) {
+					t.Fatalf("%s tau=%d threads=%d: MaxQueueDepth = %d outside [1, %d]", name, tau, threads, m.MaxQueueDepth, parallelQueueCap)
+				}
+				detached += m.TasksSpawned - int64(threads)
 			}
-			if !keysEqual(keys, want) {
-				t.Fatalf("%s threads=%d: biclique sets differ", name, threads)
-			}
-			if m.TasksSpawned < 1 {
-				t.Fatalf("%s threads=%d: TasksSpawned = %d, want ≥ 1 (the seed)", name, threads, m.TasksSpawned)
-			}
-			if m.MaxQueueDepth < 1 || m.MaxQueueDepth > int64(parallelQueueCap) {
-				t.Fatalf("%s threads=%d: MaxQueueDepth = %d outside [1, %d]", name, threads, m.MaxQueueDepth, parallelQueueCap)
+			// The random graphs (300 edges and more) detach dozens of
+			// subtrees at τ = 4; the structured ones are too small to.
+			if tau == 4 && g.NumEdges() >= 300 && detached == 0 {
+				t.Errorf("%s tau=4: no pool width detached a subtree beyond its root seeds", name)
 			}
 		}
 	}
@@ -81,6 +93,7 @@ func TestSchedulerCountsMatchSerial(t *testing.T) {
 // TestQueueSaturationInlineFallback shrinks the per-worker deque to a
 // single slot so nearly every spawn offer is declined: the engines must
 // recurse inline (TasksInlined grows) and still enumerate the exact set.
+// τ sits below the roots' degrees: a promoted root is never offered.
 func TestQueueSaturationInlineFallback(t *testing.T) {
 	old := parallelQueueCap
 	parallelQueueCap = 1
@@ -92,7 +105,7 @@ func TestQueueSaturationInlineFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Metrics
-	keys, res := collectParallel(t, g, Options{Variant: Ada, Threads: 4, Metrics: &m})
+	keys, res := collectParallel(t, g, Options{Variant: Ada, Tau: 4, Threads: 4, Metrics: &m})
 	if res.Count != serial.Count || !keysEqual(keys, want) {
 		t.Fatalf("saturated queue: count %d, serial %d", res.Count, serial.Count)
 	}

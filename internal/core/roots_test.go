@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/ckpt"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -214,12 +215,14 @@ type rootNode struct {
 // referenceRoot builds root vp's node from sorted set intersections of
 // N(vp) with each two-hop vertex's adjacency list, reading the record dom
 // as it stood when the root began. Candidates ascend; excluded vertices
-// keep the order of their first visit in the walk over N(vp).
-func referenceRoot(g *graph.Bipartite, vp int32, dom []int32) rootNode {
+// keep the order of their first visit in the walk over N(vp). It also
+// returns the suffix the root orders, sorted: the two-hop vertices after
+// vp that the record does not skip.
+func referenceRoot(g *graph.Bipartite, vp int32, dom []int32) (rootNode, []int32) {
 	want := rootNode{dom: slices.Clone(dom)}
 	lq := g.NeighborsOfV(vp)
 	if len(lq) == 0 || dom[vp] < vp {
-		return want
+		return want, nil
 	}
 	seen := map[int32]bool{vp: true}
 	var suffix, prefix []int32
@@ -260,7 +263,7 @@ func referenceRoot(g *graph.Bipartite, vp int32, dom []int32) rootNode {
 	for _, x := range prefix {
 		nb := local(x)
 		if len(nb) == len(lq) {
-			return rootNode{dom: want.dom} // not maximal
+			return rootNode{dom: want.dom}, suffix // not maximal
 		}
 		want.excl = append(want.excl, x)
 		want.exclNbrs = append(want.exclNbrs, nb)
@@ -269,7 +272,7 @@ func referenceRoot(g *graph.Bipartite, vp int32, dom []int32) rootNode {
 	if len(want.cand) == 0 {
 		want.excl, want.exclNbrs = nil, nil // no subtree to offer
 	}
-	return want
+	return want, suffix
 }
 
 // cloneLists deep-copies lists; empty input gives nil, as in rootNode.
@@ -281,77 +284,192 @@ func cloneLists(lists [][]int32) [][]int32 {
 	return out
 }
 
-// TestLNRootBuild checks every LN root's node against referenceRoot, on
-// uniform and hub-heavy (power-law) random graphs: R', the candidate and
-// excluded ids, their local neighborhoods and the dominators recorded.
+// cgLists decodes the bitmap CG a promoted root built, with L* = lq, into
+// the lists it stands for: the candidates vids[:nCand], then the excluded
+// vertices, each with its mask read back as members of lq.
+func cgLists(t *testing.T, cg *bitCG, lq []int32) (cand []int32, candNbrs [][]int32, excl []int32, exclNbrs [][]int32) {
+	t.Helper()
+	if !slices.Equal(cg.lids, lq) || cg.width != bitset.WordsFor(len(lq)) {
+		t.Fatalf("bitmap CG has L* %v at width %d, want %v at width %d", cg.lids, cg.width, lq, bitset.WordsFor(len(lq)))
+	}
+	lists := make([][]int32, len(cg.vids))
+	for k := range cg.vids {
+		cg.mask(int32(k)).ForEach(func(bit int) {
+			if bit >= len(lq) {
+				t.Fatalf("mask of %d has bit %d outside L* (|L*| = %d)", cg.vids[k], bit, len(lq))
+			}
+			lists[k] = append(lists[k], lq[bit])
+		})
+	}
+	nc := cg.nCand
+	return append([]int32(nil), cg.vids[:nc]...), cloneLists(lists[:nc]),
+		append([]int32(nil), cg.vids[nc:]...), cloneLists(lists[nc:])
+}
+
+// TestLNRootBuild checks LN roots' nodes against referenceRoot, on
+// uniform, hub-heavy (power-law) and wide random graphs: R', the candidate
+// and excluded ids, their local neighborhoods and the dominators recorded.
+// A maximal root with candidates hands its subtree on in one of two forms,
+// and both are checked. Lists are captured through the spawn hook, under
+// AdaMBE-LN and under AdaMBE at a τ below the roots' degrees. A root that
+// AdaMBE promotes (|N(vp)| ≤ τ) must not be offered: its bitmap CG is read
+// from e.cg, with SkipSubtree returning true, and decoded into lists, so
+// vids must be the candidates in ascending order followed by the excluded
+// vertices in first-visit order, nCand must count the candidates, and each
+// mask must be the local neighborhood as bits of N(vp). At τ = 128 the
+// over64 graph's roots above 64 neighbours build two-word masks.
+//
 // The record is pre-seeded with entries both below and above each root,
 // so both walks over N(vp) meet skipped vertices, and the roots run in a
 // random order, as ParAdaMBE workers can finish them, so some meet a
 // violator their dominator has not yet recorded. The emission handler
 // runs between the two walks and lowers a record there, as a ParAdaMBE
 // sibling can: the node must still follow the record as the root first
-// read it.
+// read it. The wide graph's two-hop ids span far more words than its
+// suffixes, so the suffix ordering sorts there and scans on the other
+// graphs; both branches must run.
 func TestLNRootBuild(t *testing.T) {
 	graphs := map[string]*graph.Bipartite{
 		"sparse":   randomBipartite(t, 51, 40, 70, 220),
 		"dense":    randomBipartite(t, 52, 25, 40, 500),
 		"hubs":     gen.PowerLaw(53, 60, 80, 900, 1.5, 1.2),
 		"hubs-asc": order.Apply(gen.PowerLaw(54, 80, 60, 900, 1.2, 1.5), order.DegreeAscending, 0),
+		"wide":     randomBipartite(t, 55, 300, 20000, 6000),
+		"over64":   randomBipartite(t, 56, 100, 60, 6000),
 	}
+	configs := []struct {
+		name    string
+		variant Variant
+		tau     int
+	}{{"LN", LN, 0}, {"Ada", Ada, 0}, {"Ada-tau2", Ada, 2}, {"Ada-tau128", Ada, 128}}
+	scanned := map[bool]int{} // suffixes of two or more, by ordering branch
+	lists := map[string]int{} // roots checked as lists, by config
+	masks := map[string]int{} // roots checked as a bitmap CG, by config
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			nv := int32(g.NV())
-			rng := rand.New(rand.NewSource(int64(nv)))
-			rd := newRootDom(int(nv), func(int64) {})
-			for w := range rd {
-				if rng.Intn(4) == 0 {
-					rd[w].Store(rng.Int31n(nv))
-				}
-			}
-			record := func() []int32 {
-				dom := make([]int32, nv)
-				for w := range dom {
-					dom[w] = rd[w].Load()
-				}
-				return dom
-			}
-
-			var got rootNode
-			var lowered []int32 // records the handler lowered, as pairs w, z
-			var vp int32
-			e := newEngine(g, Options{Variant: Ada, OnBiclique: func(L, R []int32) {
-				got.L, got.R = slices.Clone(L), slices.Clone(R)
-				if vp > 0 {
-					w, z := rng.Int31n(nv), rng.Int31n(vp)
-					rd.record(w, z)
-					lowered = append(lowered, w, z)
-				}
-			}}, &tle.Shared{}, 0)
-			e.dom = rd
-			e.spawn = func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool {
-				got.cand, got.candNbrs = append([]int32(nil), candIDs...), cloneLists(candNbrs)
-				got.excl, got.exclNbrs = append([]int32(nil), exclIDs...), cloneLists(exclNbrs)
-				return true
-			}
-			for _, r := range rng.Perm(int(nv)) {
-				vp = int32(r)
-				want := referenceRoot(g, vp, record())
-				got, lowered = rootNode{}, lowered[:0]
-				e.expandLNRoot(vp)
-				got.dom = record()
-				for i := 0; i < len(lowered); i += 2 {
-					w, z := lowered[i], lowered[i+1]
-					want.dom[w] = min(want.dom[w], z)
-				}
-				for _, nbrs := range append(got.candNbrs, got.exclNbrs...) {
-					if !slices.IsSorted(nbrs) {
-						t.Fatalf("root %d: local neighborhood %v is not sorted", vp, nbrs)
-					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("root %d:\n got  %+v\n want %+v", vp, got, want)
-				}
+			for _, cfg := range configs {
+				t.Run(cfg.name, func(t *testing.T) {
+					nl, nm := checkLNRoots(t, g, cfg.variant, cfg.tau, scanned)
+					lists[cfg.name] += nl
+					masks[cfg.name] += nm
+				})
 			}
 		})
+	}
+	if lists["LN"] == 0 || masks["LN"] != 0 || masks["Ada"] == 0 || lists["Ada-tau2"] == 0 || masks["Ada-tau2"] == 0 || masks["Ada-tau128"] <= masks["Ada"] {
+		t.Errorf("roots checked as lists %v and as bitmaps %v: want lists under LN and Ada-tau2, bitmaps under every Ada config and more under Ada-tau128 than Ada", lists, masks)
+	}
+	if scanned[true] == 0 || scanned[false] == 0 {
+		t.Errorf("suffix ordering: %d suffixes scanned, %d sorted; want both branches", scanned[true], scanned[false])
+	}
+}
+
+// checkLNRoots is TestLNRootBuild on one graph under one variant and τ,
+// over every root of a small graph and 400 roots of a larger one, in a
+// random order. It counts in scanned the ordering branch each root's
+// suffix takes, and returns how many roots offered lists and how many
+// built a bitmap CG.
+func checkLNRoots(t *testing.T, g *graph.Bipartite, variant Variant, tau int, scanned map[bool]int) (lists, masks int) {
+	nv := int32(g.NV())
+	rng := rand.New(rand.NewSource(int64(nv)))
+	rd := newRootDom(int(nv), func(int64) {})
+	for w := range rd {
+		if rng.Intn(4) == 0 {
+			rd[w].Store(rng.Int31n(nv))
+		}
+	}
+	record := func() []int32 {
+		dom := make([]int32, nv)
+		for w := range dom {
+			dom[w] = rd[w].Load()
+		}
+		return dom
+	}
+
+	var got rootNode
+	var lowered []int32 // records the handler lowered, as pairs w, z
+	var vp int32
+	var promoted, built bool
+	e := newEngine(g, Options{Variant: variant, Tau: tau, OnBiclique: func(L, R []int32) {
+		got.L, got.R = slices.Clone(L), slices.Clone(R)
+		if vp > 0 {
+			w, z := rng.Int31n(nv), rng.Int31n(vp)
+			rd.record(w, z)
+			lowered = append(lowered, w, z)
+		}
+	}}, &tle.Shared{}, 0)
+	e.dom = rd
+	e.spawn = func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool {
+		if promoted {
+			t.Errorf("root %d (|N(vp)| = %d ≤ τ = %d) was offered to the scheduler", vp, len(L), e.tau)
+		}
+		got.cand, got.candNbrs = append([]int32(nil), candIDs...), cloneLists(candNbrs)
+		got.excl, got.exclNbrs = append([]int32(nil), exclIDs...), cloneLists(exclNbrs)
+		lists++
+		return true
+	}
+	e.skipSubtree = func(int, int, int) bool {
+		built = true
+		return promoted
+	}
+	roots := rng.Perm(int(nv))
+	for _, r := range roots[:min(len(roots), 400)] {
+		vp = int32(r)
+		want, suffix := referenceRoot(g, vp, record())
+		if n := len(suffix); n > 1 {
+			scanned[vset.ScanSorts(n, suffix[0], suffix[n-1])]++
+		}
+		promoted = variant == Ada && g.DegV(vp) <= e.tau
+		got, lowered, built = rootNode{}, lowered[:0], false
+		e.expandLNRoot(vp)
+		if promoted && built {
+			got.cand, got.candNbrs, got.excl, got.exclNbrs = cgLists(t, &e.cg, g.NeighborsOfV(vp))
+			masks++
+		}
+		got.dom = record()
+		for i := 0; i < len(lowered); i += 2 {
+			w, z := lowered[i], lowered[i+1]
+			want.dom[w] = min(want.dom[w], z)
+		}
+		for _, nbrs := range append(got.candNbrs, got.exclNbrs...) {
+			if !slices.IsSorted(nbrs) {
+				t.Fatalf("root %d: local neighborhood %v is not sorted", vp, nbrs)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("root %d:\n got  %+v\n want %+v", vp, got, want)
+		}
+	}
+	return lists, masks
+}
+
+// TestRootScratchChargesGrowth checks that the root expansions' two-hop
+// buffers charge the memory gauge only what each growth adds, so the gauge
+// holds their retained footprint, and that a new engine charges the
+// suffix ordering's bit set with its stamp tables.
+func TestRootScratchChargesGrowth(t *testing.T) {
+	g := gen.PowerLaw(56, 200, 3000, 6000, 1.5, 1.2)
+	shared := &tle.Shared{}
+	e := newEngine(g, Options{Variant: Ada}, shared, 0)
+	if got, want := shared.MemBytes(), int64(3*g.NU()+2*g.NV())*4+int64(bitset.WordsFor(g.NV()))*8; got != want {
+		t.Fatalf("a new engine charged %d bytes, want %d: stamp tables, root list and ordering bit set", got, want)
+	}
+	e.dom = newRootDom(g.NV(), func(int64) {})
+	base := shared.MemBytes()
+	var held int64
+	for vp := range int32(g.NV()) {
+		lq := g.NeighborsOfV(vp)
+		if vp%2 == 0 {
+			e.countTwoHop(vp, lq)
+		} else {
+			e.gatherTwoHop(vp, lq)
+		}
+		held = int64(cap(e.rs.suffix)+cap(e.rs.prefix)) * 4
+		if got := shared.MemBytes() - base; got != held {
+			t.Fatalf("after root %d: gauge charged %d bytes, suffix and prefix retain %d", vp, got, held)
+		}
+	}
+	if held == 0 {
+		t.Fatal("no root grew the two-hop buffers")
 	}
 }

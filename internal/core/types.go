@@ -340,7 +340,8 @@ type Metrics struct {
 	// computational subgraph (Fig. 5). At the LN engines' root, where the
 	// CG is the whole graph, AccessesInsideCG counts the adjacency entries
 	// the root's wedge walks read: Σ deg(u) over u ∈ N(v') per walk, with
-	// the second walk only for a root whose lists are built.
+	// the second walk, into lists or into a promoted root's masks, only
+	// for a maximal root with candidates.
 	AccessesInsideCG  int64
 	AccessesOutsideCG int64
 	// SetIntersections counts pairwise set-intersection operations. The
@@ -364,7 +365,8 @@ type Metrics struct {
 	// BitmapsCreated counts bitmap CGs materialized by BIT.
 	BitmapsCreated int64
 	// BitPromotions counts list-procedure subtrees (LN or global) that
-	// switched to the bitwise procedure at the τ boundary. The promotion
+	// switched to the bitwise procedure at the τ boundary, LN roots whose
+	// masks come straight from their wedge walk included. The promotion
 	// rate — BitPromotions against NodesGenerated — says how much of the
 	// tree the bitmap fast path captured at the configured τ.
 	BitPromotions int64
@@ -380,7 +382,8 @@ type Metrics struct {
 	// TasksStolen the subset executed by a worker other than the one that
 	// detached them, and TasksInlined the spawn offers the adaptive cutoff
 	// declined (the subtree recursed inline instead of paying the detach
-	// copy).
+	// copy). A root promoted to a bitmap is never offered, so it counts in
+	// neither.
 	TasksSpawned int64
 	TasksStolen  int64
 	TasksInlined int64

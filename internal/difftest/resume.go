@@ -25,6 +25,9 @@ type SpoolRunResult struct {
 	Digest   Digest
 	Attempts int   // enumeration attempts (interrupts + the final complete run)
 	Records  int64 // records in the final spool
+	// Detached counts the subtrees a parallel engine detached into its
+	// scheduler beyond the root seeds, over every attempt.
+	Detached int64
 }
 
 // RunSpooled enumerates g under c through a spool at dir, interrupting
@@ -36,7 +39,7 @@ type SpoolRunResult struct {
 func RunSpooled(g *graph.Bipartite, c Config, dir string, interrupts []int64) (SpoolRunResult, error) {
 	var out SpoolRunResult
 	for _, after := range interrupts {
-		complete, err := runSpooledOnce(g, c, dir, out.Attempts > 0, after)
+		complete, err := runSpooledOnce(g, c, dir, out.Attempts > 0, after, &out.Detached)
 		out.Attempts++
 		if err != nil {
 			return out, err
@@ -49,7 +52,7 @@ func RunSpooled(g *graph.Bipartite, c Config, dir string, interrupts []int64) (S
 	// Final attempt(s): run to completion. One resume normally suffices;
 	// the loop guards against a pathological non-advancing sequence.
 	for i := 0; i < 3; i++ {
-		complete, err := runSpooledOnce(g, c, dir, out.Attempts > 0, 0)
+		complete, err := runSpooledOnce(g, c, dir, out.Attempts > 0, 0, &out.Detached)
 		out.Attempts++
 		if err != nil {
 			return out, err
@@ -66,12 +69,17 @@ func RunSpooled(g *graph.Bipartite, c Config, dir string, interrupts []int64) (S
 // runSpooledOnce is one attempt: open (or resume) the spool session and
 // enumerate — cancelling after cancelAfter emissions when > 0, a
 // deterministic-enough stand-in for an interrupt that always lands
-// mid-enumeration — and close the session with the outcome. Returns
-// whether enumeration ran to completion.
-func runSpooledOnce(g *graph.Bipartite, c Config, dir string, resume bool, cancelAfter int64) (bool, error) {
+// mid-enumeration — and close the session with the outcome, adding the
+// subtrees a parallel run detached beyond its root seeds to detached.
+// Returns whether enumeration ran to completion.
+func runSpooledOnce(g *graph.Bipartite, c Config, dir string, resume bool, cancelAfter int64, detached *int64) (bool, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	spec := core.Options{Tau: c.Tau, Threads: max(c.Threads, 1), Context: ctx}
+	var m core.Metrics
+	if spec.Threads > 1 {
+		spec.Metrics = &m
+	}
 	if cancelAfter > 0 {
 		var remaining atomic.Int64
 		remaining.Store(cancelAfter)
@@ -90,6 +98,7 @@ func runSpooledOnce(g *graph.Bipartite, c Config, dir string, resume bool, cance
 		Resume: resume,
 		Every:  -1, // checkpoints only at Finish: deterministic resume points
 	})
+	*detached += max(m.TasksSpawned-int64(spec.Threads), 0)
 	if err != nil {
 		return false, fmt.Errorf("difftest: %s: %w", c, err)
 	}

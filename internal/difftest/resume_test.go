@@ -32,7 +32,12 @@ func resumeGraphs() []*graph.Bipartite {
 // interrupted-then-resumed spooled run must produce a spool whose digest
 // equals an uninterrupted enumeration of the same graph — zero dropped,
 // zero duplicated bicliques, proven by multiset fingerprint rather than
-// count.
+// count. The ParAdaMBE cells run at τ = 4, below most roots' degrees,
+// because a root promoted to a bitmap is never offered to the scheduler:
+// at the default τ these graphs detach no subtree. Each of those cells
+// must detach some over the matrix, so subtrees are in flight when the
+// interrupts land. TestResumeDenseSubtrees and
+// TestResumeRepeatedInterrupts run ParAdaMBE at the default τ.
 func TestResumeEquality(t *testing.T) {
 	graphs := resumeGraphs()
 	if len(graphs) != 20 {
@@ -44,19 +49,21 @@ func TestResumeEquality(t *testing.T) {
 		c    Config
 	}{
 		{"threads=1", Config{Engine: EngAda, Order: order.DegreeAscending, Threads: 1}},
-		{"threads=4", Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: 4}},
-		{"threads=8", Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: 8}},
+		{"threads=4", Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: 4, Tau: 4}},
+		{"threads=8", Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: 8, Tau: 4}},
 		// Under ASC order a root is dominated only by an earlier root with
 		// an identical neighbourhood; random order makes dominated roots
 		// common, so this cell exercises ParAdaMBE's out-of-order
 		// domination record, with interrupts inside the parallel root loop.
-		{"threads=2/order=rand", Config{Engine: EngParAda, Order: order.Random, Seed: 3, Threads: 2}},
+		{"threads=2/order=rand", Config{Engine: EngParAda, Order: order.Random, Seed: 3, Threads: 2, Tau: 4}},
 		{"engine=BBK", Config{Engine: EngBBK, Order: order.DegreeAscending, Threads: 1}},
 		{"engine=Baseline", Config{Engine: EngBaseline, Order: order.DegreeAscending, Threads: 1}},
 		{"engine=AdaMBE-LN", Config{Engine: EngLN, Order: order.DegreeAscending, Threads: 1}},
 		{"engine=AdaMBE-BIT", Config{Engine: EngBIT, Order: order.DegreeAscending, Threads: 1}},
 	}
 
+	// Subtrees detached beyond the root seeds, and runs, per cell.
+	detached, runs := make([]int64, len(cells)), make([]int, len(cells))
 	for gi, g := range graphs {
 		// One oracle digest per graph: the ordinary in-memory serial run.
 		oracle, err := Run(g, Config{Engine: EngAda, Order: order.DegreeAscending, Threads: 1})
@@ -64,7 +71,7 @@ func TestResumeEquality(t *testing.T) {
 			t.Fatalf("graph %d: oracle: %v", gi, err)
 		}
 		for _, after := range interrupts {
-			for _, cell := range cells {
+			for ci, cell := range cells {
 				name := fmt.Sprintf("g%02d/interrupt=%d/%s", gi, after, cell.name)
 				c := cell.c
 				t.Run(name, func(t *testing.T) {
@@ -72,6 +79,8 @@ func TestResumeEquality(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					detached[ci] += res.Detached
+					runs[ci]++
 					if !res.Digest.Equal(oracle) {
 						t.Errorf("[%s] resumed spool digest %s != oracle %s (attempts=%d)",
 							c, res.Digest, oracle, res.Attempts)
@@ -82,6 +91,12 @@ func TestResumeEquality(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+	for ci, cell := range cells {
+		whole := runs[ci] == len(graphs)*len(interrupts) // not narrowed by -run
+		if whole && cell.c.Threads > 1 && detached[ci] == 0 {
+			t.Errorf("%s: no run of the matrix detached a subtree beyond its root seeds", cell.name)
 		}
 	}
 }

@@ -90,7 +90,12 @@ func checkBalanced(t *testing.T, fr *recordingFrontier, start, end int32, comple
 // and every root whose work all ended done has emitted every biclique
 // the complete run emits under it — the property a checkpoint's
 // watermark rests on. Serial runs must end such a root with bicliques
-// before the cancel, so the check is not vacuous.
+// before the cancel, so the check is not vacuous. ParAdaMBE runs at
+// τ = 4, below most roots' degrees, because a root promoted to a bitmap
+// is never offered to the scheduler: at the default τ these graphs
+// detach no subtree. Every complete ParAdaMBE run must detach one beyond
+// its root seeds, so the subtrees' own Begin (before the push) and End
+// (when the task returns) are checked too.
 func TestFrontierContract(t *testing.T) {
 	graphs := []*graph.Bipartite{
 		gen.Uniform(61, 80, 40, 600),
@@ -109,12 +114,19 @@ func TestFrontierContract(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("g%d/[%d,%d)/%s", gi, start, end, id), func(t *testing.T) {
 					spec := core.Options{Threads: 4, StartRoot: rr[0], EndRoot: rr[1]}
+					var m core.Metrics
+					if id == ParAdaMBE {
+						spec.Tau, spec.Metrics = 4, &m
+					}
 					full := &rootCounts{n: map[int32]int64{}}
 					fr := newRecordingFrontier()
 					spec.Sink, spec.Frontier = full, fr
 					res, err := id.Run(g, spec)
 					if err != nil || res.StopReason != core.StopNone {
 						t.Fatalf("complete run: %v %v", res.StopReason, err)
+					}
+					if id == ParAdaMBE && m.TasksSpawned <= int64(spec.Threads) {
+						t.Errorf("complete run detached no subtree: %d tasks spawned, %d of them root seeds", m.TasksSpawned, spec.Threads)
 					}
 					checkBalanced(t, fr, start, end, true)
 					if len(fr.notDone) > 0 {

@@ -1,7 +1,9 @@
 package vset
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -121,4 +123,36 @@ func BenchmarkSlabVsMake(b *testing.B) {
 			_ = buf
 		}
 	})
+}
+
+// BenchmarkSortIDs times the suffix ordering's two branches, the bit-set
+// scan and slices.Sort, on n distinct shuffled ids spread over a span of
+// words at, below and above the bound ScanSorts puts between them
+// (n·⌊log₂ n⌋ words: 8 for n = 4, 384 for n = 64). Every iteration
+// re-shuffles by copying the input back, in both arms.
+func BenchmarkSortIDs(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	shapes := []struct{ n, words int }{
+		{4, 4}, {4, 8}, {4, 64}, {4, 4096},
+		{64, 64}, {64, 256}, {64, 384}, {64, 1024}, {64, 4096},
+	}
+	for _, s := range shapes {
+		ids := randIDs(rng, s.n, 0, int32(s.words*64))
+		lo, hi := slices.Min(ids), slices.Max(ids)
+		scratch := make([]uint64, s.words)
+		buf := make([]int32, s.n)
+		name := fmt.Sprintf("n%d/words%d", s.n, s.words)
+		b.Run("Scan/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(buf, ids)
+				scanIDs(buf, scratch, lo, hi)
+			}
+		})
+		b.Run("Sort/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(buf, ids)
+				slices.Sort(buf)
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package vset
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -210,5 +211,63 @@ func TestSlabReuseAfterRelease(t *testing.T) {
 	s.Release(m)
 	if got := s.Alloc(1); got == nil {
 		t.Fatal("alloc failed after release")
+	}
+}
+
+// randIDs returns n distinct ids from [lo, hi) in random order.
+func randIDs(rng *rand.Rand, n int, lo, hi int32) []int32 {
+	ids := make([]int32, n)
+	for i, x := range rng.Perm(int(hi - lo))[:n] {
+		ids[i] = lo + int32(x)
+	}
+	return ids
+}
+
+// TestSortIDsMatchesSort checks the suffix ordering against slices.Sort
+// on distinct id sets of every shape its callers produce: empty, one id,
+// dense, spread over far more words than ids, on the 63/64 word edges and
+// up to the last id |V|−1, random sets of every size and span besides.
+// Both branches must run, and the scratch must come back all zero.
+func TestSortIDsMatchesSort(t *testing.T) {
+	const nv = 5000
+	scratch := make([]uint64, (nv+63)/64)
+	rng := rand.New(rand.NewSource(7))
+	cases := [][]int32{
+		nil,
+		{nv - 1},
+		{0},
+		{nv - 1, 0},
+		{127, 64, 63, 0, 128, 191, 192, 65},
+		{nv - 1, nv - 2, 4991, 4928, 4927},
+		randIDs(rng, 2000, 0, 2048),
+		randIDs(rng, 64, nv-64, nv),
+		randIDs(rng, 3, 0, nv),
+		randIDs(rng, 40, 0, nv),
+	}
+	for range 300 {
+		lo := rng.Int31n(nv)
+		hi := lo + 1 + rng.Int31n(nv-lo)
+		cases = append(cases, randIDs(rng, rng.Intn(int(min(hi-lo, 300))+1), lo, hi))
+	}
+	branches := map[bool]int{}
+	for _, ids := range cases {
+		want := slices.Clone(ids)
+		slices.Sort(want)
+		got := slices.Clone(ids)
+		SortIDs(got, scratch)
+		if !slices.Equal(got, want) {
+			t.Fatalf("SortIDs(%v) = %v, want %v", ids, got, want)
+		}
+		if len(ids) > 1 {
+			branches[ScanSorts(len(ids), want[0], want[len(want)-1])]++
+		}
+		for i, w := range scratch {
+			if w != 0 {
+				t.Fatalf("SortIDs(%v) left scratch word %d = %#x", ids, i, w)
+			}
+		}
+	}
+	if branches[true] == 0 || branches[false] == 0 {
+		t.Fatalf("%d id sets scanned, %d sorted: want both branches", branches[true], branches[false])
 	}
 }
