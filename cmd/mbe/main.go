@@ -84,7 +84,9 @@ func main() {
 	)
 	flag.Parse()
 
+	loadStart := time.Now()
 	g, err := loadGraph(*input, *binary, *dataset)
+	loadTime := time.Since(loadStart)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mbe:", err)
 		os.Exit(1)
@@ -101,7 +103,7 @@ func main() {
 	}
 
 	st := g.Stats()
-	fmt.Printf("graph: |U|=%d |V|=%d |E|=%d\n", st.NU, st.NV, st.Edges)
+	fmt.Printf("graph: |U|=%d |V|=%d |E|=%d\nload time: %v\n", st.NU, st.NV, st.Edges, loadTime)
 
 	// The debug endpoint is useful in every mode (pprof profiles and
 	// execution traces work even for the finder modes), so it starts before

@@ -6,17 +6,34 @@ import (
 	"testing"
 )
 
-// FuzzReadKonect checks that arbitrary input never panics the loader and
-// that every successfully parsed graph satisfies the structural invariants
-// and round-trips through both serializers.
+// FuzzReadKonect checks that arbitrary input never panics the loader, that
+// it gives exactly the reference loader's graph or error text, and that
+// every successfully parsed graph satisfies the structural invariants and
+// round-trips through both serializers.
 func FuzzReadKonect(f *testing.F) {
 	f.Add("1 2\n3 4\n")
 	f.Add("% comment\n1 2 5 99999\n\n1 2\n")
 	f.Add("a b\nb a\n")
 	f.Add("x")
 	f.Add(strings.Repeat("7 9\n", 100))
+	f.Add("1 2\r\n3 4\r\n2 4\r\n")
+	f.Add("% bip unweighted\n% 3 2 2\n1 1\n2 1\n")
+	f.Add(" \t # note\n1 2\n\t#\n")
+	f.Add("1\u00a02\n3\u00a0\u00a04\n")
+	f.Add("1\u00852\n\u0085% x\n")
+	f.Add("007 7\n7 007\n0 00\n")
+	f.Add("+3 1\n3 1\n")
+	f.Add("-1 2\n1 -1\n")
+	f.Add("12345678901234567890 1\n1234567890123456789 1\n123456789012345678 1\n")
+	f.Add("1 2\n3\n")
+	f.Add("1 2\n3 4")
+	f.Add("4000000000 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadKonect(strings.NewReader(input))
+		ref, refErr := refReadKonect(strings.NewReader(input))
+		if msg := sameResult(g, err, ref, refErr); msg != "" {
+			t.Fatalf("differs from the reference loader: %s", msg)
+		}
 		if err != nil {
 			return
 		}

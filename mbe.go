@@ -63,8 +63,11 @@ func FromEdges(nu, nv int, edges []Edge) (*Graph, error) {
 }
 
 // LoadKonect reads a KONECT-format edge list ("u v [weight [ts]]" lines,
-// '%' comments) from a file, compacting ids and orienting the graph so the
-// smaller side is V, as in the paper's setup.
+// '%' or '#' comments) from a file, compacting ids and orienting the graph
+// so the smaller side is V, as in the paper's setup. An id's text is its
+// identity: each side numbers its distinct ids densely in first-seen order,
+// so "007" and "7" are two vertices. Memory grows with the number of edges
+// and distinct ids, never with the largest id the file spells.
 func LoadKonect(path string) (*Graph, error) {
 	b, err := graph.ReadKonectFile(path)
 	if err != nil {
