@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-e2ebench bench bench-kernels bench-parallel bench-server check-dist repro repro-quick fuzz difftest difftest-extended clean
+.PHONY: all build test test-race test-e2ebench bench bench-kernels bench-parallel check-dist repro repro-quick fuzz difftest difftest-extended clean
 
 all: build test
 
@@ -41,14 +41,6 @@ bench-kernels:
 # at GOMAXPROCS=1 — a one-thread "parallel" trajectory can't show scaling.
 bench-parallel:
 	$(GO) run ./cmd/mbebench -json BENCH_parallel.json -datasets UL,UF,GH
-
-# Regenerate the checked-in daemon load-test trajectory: mbeload sweeps
-# concurrent submit→stream→verify clients against an in-process mbed and
-# records p50/p95/p99 latency, throughput and shed rate per level (the
-# knee row is flagged). The file is schema-gated by `mbeload -check` in
-# the CI server-smoke job.
-bench-server:
-	$(GO) run ./cmd/mbeload -self -dataset UL -levels 1,2,4,8 -jobs 8 -json BENCH_server.json
 
 # Distributed-enumeration smoke (docs/DISTRIBUTED.md): coordinator plus
 # three workers on this host, one worker kill -9'd mid-run, global digest

@@ -32,10 +32,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/datasets"
 	"repro/internal/dist"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/order"
 )
 
@@ -91,11 +89,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mbecoord: -dir is required")
 		os.Exit(2)
 	}
-	g, err := loadGraph(*input, *binary, *dataset)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbecoord:", err)
-		os.Exit(1)
-	}
 	spec := dist.Spec{
 		Algorithm: *algo,
 		Ordering:  *ord,
@@ -104,7 +97,13 @@ func main() {
 		Dataset:   *dataset,
 		Path:      *input,
 		Bin:       *binary,
-	}.WithGraph(g)
+	}
+	g, err := spec.LoadGraph()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mbecoord:", err)
+		os.Exit(1)
+	}
+	spec = spec.WithGraph(g)
 
 	c, err := dist.NewCoordinator(dist.CoordOptions{
 		Spec: spec, Dir: *dir, Ranges: *ranges,
@@ -150,38 +149,4 @@ func main() {
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer shutCancel()
 	srv.Shutdown(shutCtx) //nolint:errcheck // exiting anyway; manifest is already durable
-}
-
-// loadGraph mirrors cmd/mbe's input selection.
-func loadGraph(input, binary, dataset string) (*graph.Bipartite, error) {
-	n := 0
-	for _, s := range []string{input, binary, dataset} {
-		if s != "" {
-			n++
-		}
-	}
-	if n != 1 {
-		return nil, fmt.Errorf("exactly one of -i, -bin, -d is required")
-	}
-	switch {
-	case input != "":
-		return graph.ReadKonectFile(input)
-	case binary != "":
-		f, err := os.Open(binary)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, err := graph.ReadBinary(f)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	default:
-		spec, found := datasets.ByName(dataset)
-		if !found {
-			return nil, fmt.Errorf("unknown dataset %q", dataset)
-		}
-		return spec.Build(), nil
-	}
 }

@@ -37,7 +37,9 @@ package dist
 
 import (
 	"fmt"
+	"os"
 
+	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/order"
@@ -62,11 +64,11 @@ type Spec struct {
 	OrderSeed int64  `json:"order_seed"`
 	Tau       int    `json:"tau"`
 
-	// The graph: at most one locator, plus the identity every worker
-	// must verify. Dataset names a built-in synthetic dataset; Path and
-	// Bin are file paths valid on the workers' hosts (single-box or
-	// shared-filesystem deployments). A worker constructed with an
-	// explicit Graph ignores the locator.
+	// The graph: at most one locator (LoadGraph needs exactly one),
+	// plus the identity every worker must verify. Dataset names a
+	// built-in synthetic dataset; Path and Bin are file paths valid on
+	// the workers' hosts (single-box or shared-filesystem deployments).
+	// A worker constructed with an explicit Graph ignores the locator.
 	Dataset string `json:"dataset,omitempty"`
 	Path    string `json:"path,omitempty"`
 	Bin     string `json:"bin,omitempty"`
@@ -95,15 +97,51 @@ func (s Spec) CheckGraph(g *graph.Bipartite) error {
 	return nil
 }
 
-// Validate checks the spec's engine and ordering spellings and its graph
-// identity fields, so misconfiguration fails at coordinator start, not
-// at the first lease.
+// LoadGraph builds or reads the graph that the spec's one locator names.
+func (s Spec) LoadGraph() (*graph.Bipartite, error) {
+	if n := s.locators(); n != 1 {
+		return nil, fmt.Errorf("dist: spec names %d graph locators; want exactly one of dataset, path and bin", n)
+	}
+	switch {
+	case s.Dataset != "":
+		spec, found := datasets.ByName(s.Dataset)
+		if !found {
+			return nil, fmt.Errorf("dist: unknown dataset %q", s.Dataset)
+		}
+		return spec.Build(), nil
+	case s.Path != "":
+		return graph.ReadKonectFile(s.Path)
+	}
+	f, err := os.Open(s.Bin)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return graph.ReadBinary(f)
+}
+
+func (s Spec) locators() int {
+	n := 0
+	for _, l := range []string{s.Dataset, s.Path, s.Bin} {
+		if l != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// Validate checks the spec's engine and ordering spellings, that it names
+// at most one graph locator, and its graph identity fields, so
+// misconfiguration fails at coordinator start, not at the first lease.
 func (s Spec) Validate() error {
 	if _, err := s.engineID(); err != nil {
 		return err
 	}
 	if _, err := s.orderKind(); err != nil {
 		return err
+	}
+	if n := s.locators(); n > 1 {
+		return fmt.Errorf("dist: spec names %d graph locators; want at most one of dataset, path and bin", n)
 	}
 	if s.NV <= 0 || s.NU <= 0 || s.GraphHash == "" {
 		return fmt.Errorf("dist: spec is missing its graph identity (nu=%d nv=%d hash=%q); build it with WithGraph", s.NU, s.NV, s.GraphHash)

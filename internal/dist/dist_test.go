@@ -118,6 +118,17 @@ func TestSpecValidateRejectsMisconfiguration(t *testing.T) {
 	if err := (Spec{Algorithm: "AdaMBE", Ordering: "asc"}).Validate(); err == nil {
 		t.Error("spec without graph identity accepted")
 	}
+	two := good
+	two.Dataset, two.Path = "UL", "ul.konect"
+	if err := two.Validate(); err == nil {
+		t.Error("two locators accepted")
+	}
+	if _, err := two.LoadGraph(); err == nil {
+		t.Error("LoadGraph picked one of two locators")
+	}
+	if _, err := good.LoadGraph(); err == nil {
+		t.Error("LoadGraph accepted a spec without a locator")
+	}
 
 	other := testGraph(t, 2, 8, 8, 24)
 	if err := good.CheckGraph(other); err == nil {

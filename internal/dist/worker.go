@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/difftest"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -167,7 +166,7 @@ func (w *Worker) bootstrap(ctx context.Context) error {
 
 	g := w.opts.Graph
 	if g == nil {
-		if g, err = loadSpecGraph(cfg.Spec); err != nil {
+		if g, err = cfg.Spec.LoadGraph(); err != nil {
 			return err
 		}
 	}
@@ -185,28 +184,6 @@ func (w *Worker) bootstrap(ctx context.Context) error {
 	w.log.Info("dist_worker_ready", "worker", w.opts.ID, "algorithm", cfg.Spec.Algorithm,
 		"ordering", cfg.Spec.Ordering, "nv", cfg.Spec.NV, "ranges", cfg.Ranges)
 	return nil
-}
-
-// loadSpecGraph resolves the spec's graph locator.
-func loadSpecGraph(s Spec) (*graph.Bipartite, error) {
-	switch {
-	case s.Dataset != "":
-		spec, found := datasets.ByName(s.Dataset)
-		if !found {
-			return nil, fmt.Errorf("dist: unknown dataset %q", s.Dataset)
-		}
-		return spec.Build(), nil
-	case s.Path != "":
-		return graph.ReadKonectFile(s.Path)
-	case s.Bin != "":
-		f, err := os.Open(s.Bin)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadBinary(f)
-	}
-	return nil, errors.New("dist: spec has no graph locator and the worker was given no graph")
 }
 
 type leaseState int

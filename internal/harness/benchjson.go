@@ -240,7 +240,7 @@ func BenchParallel(cfg Config, outPath string) error {
 			return BenchRun{}, fmt.Errorf("harness: spooled %s (t=%d): %w", dataset, threads, err)
 		}
 		run := BenchRun{
-			Dataset: dataset, Algorithm: AlgoParAdaMBE, Threads: threads,
+			Dataset: dataset, Algorithm: engine.ParAdaMBE.String(), Threads: threads,
 			WallMS: float64(wall.Microseconds()) / 1e3, Count: res.Count, Spooled: true,
 		}
 		for _, st := range states {

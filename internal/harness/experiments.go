@@ -41,7 +41,7 @@ func Table1(cfg Config) error {
 		}
 		g := s.Build()
 		st := graph.Summarize(g)
-		r, err := RunAlgorithm(g, AlgoParAdaMBE, cfg, nil)
+		r, err := RunAlgorithm(g, engine.ParAdaMBE, cfg, nil)
 		if err != nil {
 			return err
 		}
@@ -78,7 +78,7 @@ func Fig4(cfg Config) error {
 			return err
 		}
 		g := s.Build()
-		if _, err := RunAlgorithm(g, AlgoBaseline, cfg, &m); err != nil {
+		if _, err := RunAlgorithm(g, engine.Baseline, cfg, &m); err != nil {
 			return err
 		}
 	}
@@ -130,7 +130,7 @@ func Fig5(cfg Config) error {
 		}
 		g := s.Build()
 		var m core.Metrics
-		if _, err := RunAlgorithm(g, AlgoBaseline, cfg, &m); err != nil {
+		if _, err := RunAlgorithm(g, engine.Baseline, cfg, &m); err != nil {
 			return err
 		}
 		total := m.AccessesInsideCG + m.AccessesOutsideCG
@@ -160,7 +160,7 @@ func Fig8(cfg Config) error {
 	fmt.Fprintln(w, "Fig. 8 — overall evaluation (runtime | peak heap MiB); TLE budget", cfg.tle())
 	header := "dataset"
 	for _, a := range algos {
-		header += "\t" + a
+		header += "\t" + a.String()
 	}
 	fmt.Fprintln(w, header)
 	rows := [][]string{{"dataset", "algorithm", "seconds", "timed_out", "peak_heap_mib", "count"}}
@@ -177,7 +177,7 @@ func Fig8(cfg Config) error {
 			}
 			line += fmt.Sprintf("\t%s|%s", fmtRun(r), fmtMB(r.PeakHeap))
 			rows = append(rows, []string{
-				s.Acronym, a, fmt.Sprintf("%.3f", r.Elapsed.Seconds()),
+				s.Acronym, a.String(), fmt.Sprintf("%.3f", r.Elapsed.Seconds()),
 				strconv.FormatBool(r.TimedOut), fmtMB(r.PeakHeap), strconv.FormatInt(r.Count, 10),
 			})
 		}
@@ -214,7 +214,7 @@ func Fig9(cfg Config) error {
 			}
 			fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%v\n", s.Acronym, a, fmtRun(r), r.Count, r.TimedOut)
 			rows = append(rows, []string{
-				s.Acronym, a, fmt.Sprintf("%.3f", r.Elapsed.Seconds()),
+				s.Acronym, a.String(), fmt.Sprintf("%.3f", r.Elapsed.Seconds()),
 				strconv.FormatInt(r.Count, 10), strconv.FormatBool(r.TimedOut),
 			})
 		}
@@ -234,7 +234,7 @@ func Fig10(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	variants := []string{AlgoBaseline, AlgoLN, AlgoBIT, AlgoAdaMBE}
+	variants := []engine.ID{engine.Baseline, engine.AdaMBELN, engine.AdaMBEBIT, engine.AdaMBE}
 	w := tabwriter.NewWriter(cfg.out(), 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Fig. 10 — breakdown analysis (time | peak heap MiB | non-maximal nodes | small/large-node time)")
 	fmt.Fprintln(w, "dataset\tvariant\ttime\theap MiB\tnon-max nodes\tsmall time\tlarge time")
@@ -254,7 +254,7 @@ func Fig10(cfg Config) error {
 				s.Acronym, v, fmtRun(r), fmtMB(r.PeakHeap), m.NodesNonMaximal,
 				fmtDur(m.SmallNodeTime), fmtDur(m.LargeNodeTime))
 			rows = append(rows, []string{
-				s.Acronym, v, fmt.Sprintf("%.3f", r.Elapsed.Seconds()), fmtMB(r.PeakHeap),
+				s.Acronym, v.String(), fmt.Sprintf("%.3f", r.Elapsed.Seconds()), fmtMB(r.PeakHeap),
 				strconv.FormatInt(m.NodesNonMaximal, 10),
 				fmt.Sprintf("%.3f", m.SmallNodeTime.Seconds()),
 				fmt.Sprintf("%.3f", m.LargeNodeTime.Seconds()),
@@ -394,7 +394,7 @@ func Fig13(cfg Config) error {
 			}
 			fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%s\n", s.Acronym, g.NumEdges(), r.Count, a, fmtRun(r))
 			rows = append(rows, []string{
-				s.Acronym, strconv.FormatInt(g.NumEdges(), 10), a,
+				s.Acronym, strconv.FormatInt(g.NumEdges(), 10), a.String(),
 				fmt.Sprintf("%.3f", r.Elapsed.Seconds()), strconv.FormatBool(r.TimedOut),
 				strconv.FormatInt(r.Count, 10),
 			})
@@ -433,11 +433,11 @@ func Fig14(cfg Config) error {
 		for _, th := range threadsSweep {
 			sub := cfg
 			sub.Threads = th
-			ra, err := RunAlgorithm(g, AlgoParAdaMBE, sub, nil)
+			ra, err := RunAlgorithm(g, engine.ParAdaMBE, sub, nil)
 			if err != nil {
 				return err
 			}
-			rb, err := RunAlgorithm(g, AlgoParMBE, sub, nil)
+			rb, err := RunAlgorithm(g, engine.ParMBE, sub, nil)
 			if err != nil {
 				return err
 			}

@@ -133,8 +133,6 @@ func ExperimentNames() []string {
 
 // RunResult is one measured enumeration.
 type RunResult struct {
-	Algorithm  string
-	Dataset    string
 	Count      int64
 	Elapsed    time.Duration
 	TimedOut   bool
@@ -142,38 +140,20 @@ type RunResult struct {
 	PeakHeap   uint64 // bytes, sampled
 }
 
-// AlgoNames used across experiments: engine registry spellings
-// (internal/engine), as RunAlgorithm takes them.
-const (
-	AlgoBaseline  = "Baseline"
-	AlgoLN        = "AdaMBE-LN"
-	AlgoBIT       = "AdaMBE-BIT"
-	AlgoAdaMBE    = "AdaMBE"
-	AlgoParAdaMBE = "ParAdaMBE"
-	AlgoFMBE      = "FMBE"
-	AlgoPMBE      = "PMBE"
-	AlgoOOMBEA    = "ooMBEA"
-	AlgoParMBE    = "ParMBE"
-	AlgoGMBE      = "GMBE-sim"
-	AlgoBBK       = "BBK"
-)
-
 // SerialAlgos is the Fig. 8a serial lineup; ParallelAlgos the parallel one.
-func SerialAlgos() []string   { return []string{AlgoFMBE, AlgoPMBE, AlgoOOMBEA, AlgoAdaMBE} }
-func ParallelAlgos() []string { return []string{AlgoParMBE, AlgoGMBE, AlgoParAdaMBE} }
+func SerialAlgos() []engine.ID {
+	return []engine.ID{engine.FMBE, engine.PMBE, engine.OOMBEA, engine.AdaMBE}
+}
+func ParallelAlgos() []engine.ID { return []engine.ID{engine.ParMBE, engine.GMBE, engine.ParAdaMBE} }
 
-// RunAlgorithm executes one named algorithm on g with the given budget and
-// metrics hook (filled by the AdaMBE family and BBK), measuring peak heap.
+// RunAlgorithm executes one engine on g with the given budget and metrics
+// hook (filled by the AdaMBE family and BBK), measuring peak heap.
 // The rooted engines run under the ASC ordering (the AdaMBE family's
 // default per Algorithm 2); the competitors run with their own papers'
 // default configurations (ooMBEA computes its UC order itself). The
 // elapsed time includes any ordering the algorithm performs, matching the
 // paper's protocol (loading excluded, ordering included).
-func RunAlgorithm(g *graph.Bipartite, algo string, cfg Config, metrics *core.Metrics) (RunResult, error) {
-	id, err := engine.Parse(algo)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("harness: %w", err)
-	}
+func RunAlgorithm(g *graph.Bipartite, id engine.ID, cfg Config, metrics *core.Metrics) (RunResult, error) {
 	deadline := time.Now().Add(cfg.tle())
 	stop, peak := startHeapSampler()
 	defer stop()
@@ -187,7 +167,6 @@ func RunAlgorithm(g *graph.Bipartite, algo string, cfg Config, metrics *core.Met
 		return RunResult{}, err
 	}
 	return RunResult{
-		Algorithm:  algo,
 		Count:      res.Count,
 		Elapsed:    elapsed,
 		TimedOut:   res.TimedOut,

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -151,6 +152,32 @@ func (d *testDaemon) wait(jobID string, timeout time.Duration) server.Manifest {
 	}
 }
 
+// streamDigest streams the job's NDJSON results and returns their digest
+// and the response header.
+func (d *testDaemon) streamDigest(jobID string) (mbe.Digest, http.Header) {
+	d.t.Helper()
+	resp, err := d.ts.Client().Get(d.ts.URL + "/v1/jobs/" + jobID + "/results")
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var dg mbe.Digest
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var rec struct {
+			L []int32 `json:"l"`
+			R []int32 `json:"r"`
+		}
+		if err := dec.Decode(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			d.t.Fatal(err)
+		}
+		dg.Observe(rec.L, rec.R)
+	}
+	return dg, resp.Header
+}
+
 func TestServerRoundTrip(t *testing.T) {
 	d := startDaemon(t, server.Config{})
 	g := smallGraph()
@@ -177,28 +204,9 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 
 	// Result streaming replays the full multiset.
-	req, _ := http.NewRequest("GET", d.ts.URL+"/v1/jobs/"+sub.JobID+"/results", nil)
-	sresp, err := d.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if h := sresp.Header.Get("X-MBE-Partial"); h != "" {
+	streamed, hdr := d.streamDigest(sub.JobID)
+	if h := hdr.Get("X-MBE-Partial"); h != "" {
 		t.Errorf("done job streamed with X-MBE-Partial=%q", h)
-	}
-	var streamed mbe.Digest
-	dec := json.NewDecoder(sresp.Body)
-	for {
-		var rec struct {
-			L []int32 `json:"l"`
-			R []int32 `json:"r"`
-		}
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		streamed.Observe(rec.L, rec.R)
 	}
 	if streamed != want {
 		t.Errorf("streamed digest %s, want %s", streamed.String(), want.String())
@@ -211,6 +219,45 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	if hit.Result == nil || hit.Result.Digest != want.String() {
 		t.Errorf("cache hit result %+v, want digest %s", hit.Result, want.String())
+	}
+}
+
+// TestServerConcurrentClients sends four clients through submit, poll,
+// stream and digest check at once. Each client submits both its jobs
+// before it waits on either, so more jobs are in flight than the daemon
+// has executors. Every job has its own rand seed, so the result cache
+// serves none of them. The clients are parallel subtests because the
+// testDaemon helpers fail through their own t.
+func TestServerConcurrentClients(t *testing.T) {
+	d := startDaemon(t, server.Config{Concurrency: 2})
+	g := smallGraph()
+	want := directDigest(t, g)
+	id := d.submitGraph(g)
+	for c := 0; c < 4; c++ {
+		t.Run(fmt.Sprintf("client%d", c), func(t *testing.T) {
+			t.Parallel()
+			cd := &testDaemon{t: t, srv: d.srv, ts: d.ts}
+			var jobs []string
+			for j := 0; j < 2; j++ {
+				seed := int64(1 + 2*c + j)
+				sub, resp := cd.submitJob(server.JobSpec{GraphID: id, Ordering: "rand", Seed: seed})
+				if resp.StatusCode != http.StatusAccepted || sub.CacheHit {
+					t.Fatalf("seed %d: submit status %d, %+v; want 202 and no cache hit", seed, resp.StatusCode, sub)
+				}
+				jobs = append(jobs, sub.JobID)
+			}
+			for _, job := range jobs {
+				m := cd.wait(job, time.Minute)
+				if m.State != server.JobDone || m.Result == nil {
+					t.Fatalf("job %s finished %s (error %q), want done", job, m.State, m.Error)
+				}
+				streamed, _ := cd.streamDigest(job)
+				if m.Result.Digest != want.String() || streamed != want {
+					t.Errorf("job %s: manifest digest %s, streamed %s, direct run %s",
+						job, m.Result.Digest, streamed.String(), want.String())
+				}
+			}
+		})
 	}
 }
 
@@ -303,14 +350,7 @@ func TestServerCancel(t *testing.T) {
 	}
 
 	// A canceled job's durable prefix stays readable, flagged partial.
-	req, _ := http.NewRequest("GET", d.ts.URL+"/v1/jobs/"+sub.JobID+"/results", nil)
-	sresp, err := d.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, sresp.Body)
-	sresp.Body.Close()
-	if sresp.Header.Get("X-MBE-Partial") != "true" {
+	if _, hdr := d.streamDigest(sub.JobID); hdr.Get("X-MBE-Partial") != "true" {
 		t.Errorf("canceled job results not flagged partial")
 	}
 }
