@@ -33,7 +33,7 @@ bench:
 # KERNEL_BENCHTIME=1x.
 KERNEL_BENCHTIME ?= 1s
 bench-kernels:
-	$(GO) test -run='^$$' -bench='Packed|MaskAndCount|MaskAndThenCount|IntersectGallop|SortIDs' -benchtime=$(KERNEL_BENCHTIME) -benchmem ./internal/bitset ./internal/vset
+	$(GO) test -run='^$$' -bench='Packed|IntersectGallop|SortIDs' -benchtime=$(KERNEL_BENCHTIME) -benchmem ./internal/bitset ./internal/vset
 
 # Regenerate the checked-in scheduler perf trajectory (serial AdaMBE vs the
 # ParAdaMBE thread sweep, with spawn/steal/inline counters). Fails if any

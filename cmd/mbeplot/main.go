@@ -1,56 +1,36 @@
-// Command mbeplot renders SVG figures from the CSV series a previous
-// `mbebench -csv <dir>` run produced — the equivalent of the original
-// artifact's fig/genfig.sh:
-//
-//	mbebench -exp all -csv results/
-//	mbeplot -dir results/
-//
-// One SVG per available figure is written next to its CSV.
-//
-// It also renders the worker-utilization timeline from a live-run JSONL
-// event stream (docs/OBSERVABILITY.md):
+// Command mbeplot renders the worker-utilization timeline of a live run
+// from its JSONL event stream (docs/OBSERVABILITY.md) as an SVG:
 //
 //	mbe -d GH -a ParAdaMBE -t 8 -events run.jsonl
 //	mbeplot -events run.jsonl            # writes run_workers.svg
+//
+// The paper's figures are reproduced as mbebench tables and CSVs (see
+// EXPERIMENTS.md), not plotted here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-
-	"repro/internal/harness"
 )
 
 func main() {
-	dir := flag.String("dir", "results", "directory containing figN.csv files")
 	events := flag.String("events", "", "JSONL event stream (mbe -events) to render as a worker-utilization timeline")
-	out := flag.String("o", "", "output SVG path for -events (default: <events>_workers.svg)")
+	out := flag.String("o", "", "output SVG path (default: <events>_workers.svg)")
 	flag.Parse()
 
-	if *events != "" {
-		path := *out
-		if path == "" {
-			path = timelineOutPath(*events)
-		}
-		if err := renderTimeline(*events, path); err != nil {
-			fmt.Fprintln(os.Stderr, "mbeplot:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", path)
-		return
+	if *events == "" {
+		fmt.Fprintln(os.Stderr, "mbeplot: -events is required")
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	written, err := harness.RenderPlots(*dir)
-	if err != nil {
+	path := *out
+	if path == "" {
+		path = timelineOutPath(*events)
+	}
+	if err := renderTimeline(*events, path); err != nil {
 		fmt.Fprintln(os.Stderr, "mbeplot:", err)
 		os.Exit(1)
 	}
-	if len(written) == 0 {
-		fmt.Fprintf(os.Stderr, "mbeplot: no fig*.csv found in %s (run mbebench -csv first)\n", *dir)
-		os.Exit(1)
-	}
-	for _, f := range written {
-		fmt.Println("wrote", f)
-	}
+	fmt.Println("wrote", path)
 }

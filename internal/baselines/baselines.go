@@ -51,17 +51,6 @@ const (
 	BBK Algorithm = "BBK"
 )
 
-// Serial lists the serial competitors (Fig. 8a left group, Fig. 13).
-func Serial() []Algorithm { return []Algorithm{FMBE, PMBE, OOMBEA} }
-
-// Parallel lists the parallel competitors (Fig. 8a right group, Fig. 14).
-func Parallel() []Algorithm { return []Algorithm{ParMBE, GMBE} }
-
-// All lists every baseline algorithm, paper serial group first, then the
-// parallel group, then the post-paper additions. The differential harness
-// iterates this to cover the full engine matrix.
-func All() []Algorithm { return append(append(Serial(), Parallel()...), BBK) }
-
 // Instrumentation sites where core.Options.FaultHook fires.
 const (
 	// SiteSerialNode fires per candidate expansion in the shared serial

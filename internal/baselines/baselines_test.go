@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -11,8 +12,16 @@ import (
 	"repro/internal/graph"
 )
 
+// The competitors by group: the paper's serial group (Fig. 8a left,
+// Fig. 13) and parallel group (Fig. 8a right, Fig. 14).
+var (
+	serialAlgorithms   = []Algorithm{FMBE, PMBE, OOMBEA}
+	parallelAlgorithms = []Algorithm{ParMBE, GMBE}
+)
+
+// allAlgorithms lists both paper groups, then the post-paper BBK.
 func allAlgorithms() []Algorithm {
-	return All() // FMBE, PMBE, ooMBEA, ParMBE, GMBE, BBK
+	return slices.Concat(serialAlgorithms, parallelAlgorithms, []Algorithm{BBK})
 }
 
 func collect(t *testing.T, g *graph.Bipartite, alg Algorithm, opts core.Options) ([]string, core.Result) {
@@ -136,13 +145,22 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 	}
 }
 
+// TestSerialParallelLists checks the groups the other tests iterate: the
+// paper groups then BBK, no algorithm twice, and Run accepts each.
 func TestSerialParallelLists(t *testing.T) {
-	if len(Serial()) != 3 || len(Parallel()) != 2 {
-		t.Fatalf("algorithm lists wrong: %v / %v", Serial(), Parallel())
+	all := allAlgorithms()
+	if len(serialAlgorithms) != 3 || len(parallelAlgorithms) != 2 || len(all) != 6 || all[len(all)-1] != BBK {
+		t.Fatalf("algorithm lists wrong: %v / %v / %v", serialAlgorithms, parallelAlgorithms, all)
 	}
-	all := All()
-	if len(all) != 6 || all[len(all)-1] != BBK {
-		t.Fatalf("All() must list the paper groups then BBK: %v", all)
+	seen := map[Algorithm]bool{}
+	for _, alg := range all {
+		if seen[alg] {
+			t.Fatalf("%s listed twice: %v", alg, all)
+		}
+		seen[alg] = true
+		if _, err := Run(graph.PaperExample(), alg, core.Options{}); err != nil {
+			t.Errorf("Run(%s): %v", alg, err)
+		}
 	}
 }
 
@@ -178,7 +196,7 @@ func TestParallelAlgorithmsThreadCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range Parallel() {
+	for _, alg := range parallelAlgorithms {
 		for _, threads := range []int{1, 2, 8} {
 			res, err := Run(g, alg, core.Options{Threads: threads})
 			if err != nil {

@@ -3,6 +3,7 @@ package baselines
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func TestGMBEWarpPanicMidRun(t *testing.T) {
 
 func TestSerialBaselinePanicInHandlerRecovered(t *testing.T) {
 	g := lifecycleGraph()
-	for _, alg := range append(Serial(), BBK) {
+	for _, alg := range slices.Concat(serialAlgorithms, []Algorithm{BBK}) {
 		n := 0
 		res, err := Run(g, alg, core.Options{
 			OnBiclique: func(L, R []int32) {

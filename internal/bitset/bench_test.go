@@ -11,7 +11,6 @@ import (
 // stride. Run via `make bench-kernels`. The interesting comparisons:
 //
 //	BenchmarkClassifyPacked vs BenchmarkClassifyPerVertex — batching win
-//	BenchmarkMaskAndCount vs BenchmarkMaskAndThenCount    — fusion win
 //	stride sweep 1/2/4 — word-width scaling of the unrolled kernels
 
 const benchMasks = 256
@@ -135,39 +134,6 @@ func BenchmarkDropCoveredPacked(b *testing.B) {
 				copy(block, ks)
 				DropCoveredPacked(lp, lq, packed, stride, block)
 			}
-		})
-	}
-}
-
-func BenchmarkMaskAndCount(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
-		b.Run(strideName(stride), func(b *testing.B) {
-			lq, packed, _ := benchFixture(stride)
-			dst := make(Mask, stride)
-			m := Mask(packed[:stride])
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MaskAndCount(dst, Mask(lq), m)
-			}
-		})
-	}
-}
-
-// BenchmarkMaskAndThenCount is the unfused shape: AND into dst, then a
-// second pass to popcount it.
-func BenchmarkMaskAndThenCount(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
-		b.Run(strideName(stride), func(b *testing.B) {
-			lq, packed, _ := benchFixture(stride)
-			dst := make(Mask, stride)
-			m := Mask(packed[:stride])
-			var sink int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MaskAnd(dst, Mask(lq), m)
-				sink += dst.Count()
-			}
-			_ = sink
 		})
 	}
 }

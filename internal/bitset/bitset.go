@@ -13,11 +13,7 @@
 // All operations are allocation-free unless documented otherwise.
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 const (
 	// WordBits is the number of bits per machine word used by Set and Mask.
@@ -43,15 +39,6 @@ type Set struct {
 // New returns a Set able to hold members in [0, n) without reallocation.
 func New(n int) *Set {
 	return &Set{words: make([]uint64, WordsFor(n))}
-}
-
-// FromSlice builds a Set containing every id in members.
-func FromSlice(members []int) *Set {
-	s := &Set{}
-	for _, m := range members {
-		s.Add(m)
-	}
-	return s
 }
 
 func (s *Set) grow(word int) {
@@ -85,24 +72,8 @@ func (s *Set) Contains(i int) bool {
 	return w < len(s.words) && s.words[w]&(1<<(uint(i)&wordMask)) != 0
 }
 
-// Len returns the number of members (population count).
-func (s *Set) Len() int {
-	n := 0
-	for _, w := range s.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Clear removes all members while keeping capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// ClearSlice removes exactly the listed members; cheaper than Clear when the
-// set is sparse relative to its capacity.
+// ClearSlice removes exactly the listed members, touching only their words:
+// cheap when the set is sparse relative to its capacity.
 func (s *Set) ClearSlice(members []int32) {
 	for _, m := range members {
 		s.Remove(int(m))
@@ -116,139 +87,13 @@ func (s *Set) AddSlice(members []int32) {
 	}
 }
 
-// Empty reports whether the set has no members.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IntersectionLen returns |s ∩ o| without materializing the intersection.
-func (s *Set) IntersectionLen(o *Set) int {
-	n := min(len(s.words), len(o.words))
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(s.words[i] & o.words[i])
-	}
-	return c
-}
-
-// SubsetOf reports whether every member of s is also in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	for i, w := range s.words {
-		if w == 0 {
-			continue
-		}
-		if i >= len(o.words) || w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ForEach calls fn for every member in ascending order.
-func (s *Set) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		base := wi << logWord
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(base + b)
-			w &= w - 1
-		}
-	}
-}
-
-// Slice returns the members in ascending order as a fresh slice.
-func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Len())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// Clone returns a deep copy.
-func (s *Set) Clone() *Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return &Set{words: w}
-}
-
-// Equal reports whether s and o contain the same members.
-func (s *Set) Equal(o *Set) bool {
-	a, b := s.words, o.words
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	for i := range b {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	for _, w := range a[len(b):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the set as "{1, 5, 9}" for debugging and tests.
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%d", i)
-	})
-	b.WriteByte('}')
-	return b.String()
-}
-
 // Mask is a fixed-width bit mask over a small universe (the L* side of a
 // bitmap CG). Masks belonging to the same bitmap CG always share a width, so
 // binary operations do not re-check lengths beyond the shared word count.
 //
-// Masks are plain slices: callers allocate batches of them contiguously via
-// MaskArena to keep the per-node footprint cache-friendly.
+// Masks are plain slices: callers carve a bitmap CG's masks out of one
+// contiguous buffer to keep the per-node footprint cache-friendly.
 type Mask []uint64
-
-// MaskAnd stores a AND b into dst. All three must have the same width.
-func MaskAnd(dst, a, b Mask) {
-	_ = dst[len(a)-1]
-	_ = b[len(a)-1]
-	for i := range a {
-		dst[i] = a[i] & b[i]
-	}
-}
-
-// MaskAndNotZero stores a AND b into dst and reports whether the result is
-// non-zero, in one pass.
-func MaskAndNotZero(dst, a, b Mask) bool {
-	var acc uint64
-	_ = dst[len(a)-1]
-	_ = b[len(a)-1]
-	for i := range a {
-		w := a[i] & b[i]
-		dst[i] = w
-		acc |= w
-	}
-	return acc != 0
-}
-
-// Zero reports whether the mask has no bits set.
-func (m Mask) Zero() bool {
-	var acc uint64
-	for _, w := range m {
-		acc |= w
-	}
-	return acc == 0
-}
 
 // Count returns the population count.
 func (m Mask) Count() int {
@@ -270,22 +115,8 @@ func (m Mask) SubsetOf(o Mask) bool {
 	return true
 }
 
-// Equal reports whether m and o have identical bits. Widths must match.
-func (m Mask) Equal(o Mask) bool {
-	_ = o[len(m)-1]
-	for i, w := range m {
-		if w != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Set sets bit i.
 func (m Mask) Set(i int) { m[i>>logWord] |= 1 << (uint(i) & wordMask) }
-
-// Has reports whether bit i is set.
-func (m Mask) Has(i int) bool { return m[i>>logWord]&(1<<(uint(i)&wordMask)) != 0 }
 
 // FillLow sets the lowest n bits (the "all of L*" mask).
 func (m Mask) FillLow(n int) {
@@ -310,51 +141,4 @@ func (m Mask) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Bits returns the indices of set bits in ascending order (allocates).
-func (m Mask) Bits() []int {
-	out := make([]int, 0, m.Count())
-	m.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// CopyFrom copies o into m. Widths must match.
-func (m Mask) CopyFrom(o Mask) { copy(m, o) }
-
-// MaskArena hands out fixed-width masks carved from large contiguous blocks,
-// amortizing allocation over thousands of masks per enumeration subtree.
-// It is not safe for concurrent use; each worker owns its own arena.
-type MaskArena struct {
-	width int
-	block []uint64
-	off   int
-}
-
-// NewMaskArena returns an arena producing masks of the given word width.
-func NewMaskArena(width int) *MaskArena {
-	if width <= 0 {
-		panic(fmt.Sprintf("bitset: invalid mask width %d", width))
-	}
-	return &MaskArena{width: width}
-}
-
-// Width returns the word width of masks produced by the arena.
-func (a *MaskArena) Width() int { return a.width }
-
-const arenaBlockWords = 8192
-
-// New returns a zeroed mask of the arena's width.
-func (a *MaskArena) New() Mask {
-	if a.off+a.width > len(a.block) {
-		n := arenaBlockWords
-		if a.width > n {
-			n = a.width * 64
-		}
-		a.block = make([]uint64, n)
-		a.off = 0
-	}
-	m := Mask(a.block[a.off : a.off+a.width : a.off+a.width])
-	a.off += a.width
-	return m
 }

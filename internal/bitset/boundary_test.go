@@ -46,6 +46,15 @@ func randomRef(rng *rand.Rand, width int, density float64) refSet {
 	return r
 }
 
+// ids lists r's members as the []int32 the slice methods take.
+func ids(r refSet) []int32 {
+	var out []int32
+	for i := range r {
+		out = append(out, int32(i))
+	}
+	return out
+}
+
 func setFromRef(r refSet, width int) *Set {
 	s := New(width)
 	for i := range r {
@@ -62,40 +71,49 @@ func maskFromRef(r refSet, width int) Mask {
 	return m
 }
 
+// maskBits lists m's set bits in the order ForEach visits them.
+func maskBits(m Mask) []int {
+	var out []int
+	m.ForEach(func(i int) { out = append(out, i) })
+	return out
+}
+
+// checkSet fails unless s holds exactly r within [0, width).
+func checkSet(t *testing.T, s *Set, r refSet, width int, what string) {
+	t.Helper()
+	for i := 0; i < width; i++ {
+		if s.Contains(i) != r[i] {
+			t.Fatalf("width %d: %s: Contains(%d) = %v, want %v", width, what, i, s.Contains(i), r[i])
+		}
+	}
+}
+
 func TestSetBoundaryWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, width := range boundaryWidths {
 		for trial := 0; trial < 50; trial++ {
 			ra := randomRef(rng, width, 0.4)
 			rb := randomRef(rng, width, 0.4)
-			a, b := setFromRef(ra, width), setFromRef(rb, width)
+			a := setFromRef(ra, width)
+			checkSet(t, a, ra, width, "Add")
+			b := New(width)
+			b.AddSlice(ids(rb))
+			checkSet(t, b, rb, width, "AddSlice")
 
-			if got, want := a.Len(), ra.popcount(); got != want {
-				t.Fatalf("width %d: Len %d, want %d", width, got, want)
-			}
-			for i := 0; i < width; i++ {
-				if a.Contains(i) != ra[i] {
-					t.Fatalf("width %d: Contains(%d) = %v, want %v", width, i, a.Contains(i), ra[i])
-				}
-			}
-			if got, want := a.IntersectionLen(b), ra.and(rb).popcount(); got != want {
-				t.Fatalf("width %d: IntersectionLen %d, want %d", width, got, want)
-			}
-			if got, want := a.SubsetOf(b), ra.subsetOf(rb); got != want {
-				t.Fatalf("width %d: SubsetOf %v, want %v", width, got, want)
-			}
-			inter := a.Clone()
 			for i := 0; i < width; i++ {
 				if !b.Contains(i) {
-					inter.Remove(i)
+					a.Remove(i)
 				}
 			}
-			if got, want := inter.Len(), ra.and(rb).popcount(); got != want {
-				t.Fatalf("width %d: AND via Remove has %d members, want %d", width, got, want)
+			checkSet(t, a, ra.and(rb), width, "AND via Remove")
+			b.ClearSlice(ids(ra))
+			diff := refSet{}
+			for i := range rb {
+				if !ra[i] {
+					diff[i] = true
+				}
 			}
-			if !inter.SubsetOf(a) || !inter.SubsetOf(b) {
-				t.Fatalf("width %d: intersection not a subset of its operands", width)
-			}
+			checkSet(t, b, diff, width, "ClearSlice")
 		}
 	}
 }
@@ -108,18 +126,9 @@ func TestSetBoundaryBitIsolated(t *testing.T) {
 		for _, i := range []int{0, width - 1, width / 2} {
 			s := New(width)
 			s.Add(i)
-			if s.Len() != 1 {
-				t.Fatalf("width %d: Add(%d) produced %d members", width, i, s.Len())
-			}
-			for j := 0; j < width; j++ {
-				if s.Contains(j) != (j == i) {
-					t.Fatalf("width %d: after Add(%d), Contains(%d) = %v", width, i, j, s.Contains(j))
-				}
-			}
+			checkSet(t, s, refSet{i: true}, width, "Add one bit")
 			s.Remove(i)
-			if !s.Empty() {
-				t.Fatalf("width %d: Remove(%d) left members: %s", width, i, s)
-			}
+			checkSet(t, s, refSet{}, width, "Remove it")
 		}
 	}
 }
@@ -127,7 +136,6 @@ func TestSetBoundaryBitIsolated(t *testing.T) {
 func TestMaskBoundaryWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, width := range boundaryWidths {
-		words := WordsFor(width)
 		for trial := 0; trial < 50; trial++ {
 			ra := randomRef(rng, width, 0.4)
 			rb := randomRef(rng, width, 0.4)
@@ -136,32 +144,21 @@ func TestMaskBoundaryWidths(t *testing.T) {
 			if got, want := a.Count(), ra.popcount(); got != want {
 				t.Fatalf("width %d: Count %d, want %d", width, got, want)
 			}
-			for i := 0; i < width; i++ {
-				if a.Has(i) != ra[i] {
-					t.Fatalf("width %d: Has(%d) = %v, want %v", width, i, a.Has(i), ra[i])
+			got := maskBits(a)
+			if len(got) != len(ra) {
+				t.Fatalf("width %d: ForEach visited %d bits, want %d", width, len(got), len(ra))
+			}
+			for k, i := range got {
+				if !ra[i] || (k > 0 && got[k-1] >= i) {
+					t.Fatalf("width %d: ForEach visited %v", width, got)
 				}
 			}
 			if got, want := a.SubsetOf(b), ra.subsetOf(rb); got != want {
 				t.Fatalf("width %d: SubsetOf %v, want %v", width, got, want)
 			}
-
-			// Both AND kernels against the oracle.
-			want := maskFromRef(ra.and(rb), width)
-			dst := make(Mask, words)
-			MaskAnd(dst, a, b)
-			if !dst.Equal(want) {
-				t.Fatalf("width %d: MaskAnd wrong: %v vs %v", width, dst.Bits(), want.Bits())
-			}
-			dst2 := make(Mask, words)
-			nz := MaskAndNotZero(dst2, a, b)
-			if !dst2.Equal(want) {
-				t.Fatalf("width %d: MaskAndNotZero result wrong", width)
-			}
-			if nz != (ra.and(rb).popcount() != 0) {
-				t.Fatalf("width %d: MaskAndNotZero reported %v for %d-bit result", width, nz, ra.and(rb).popcount())
-			}
-			if dst.Zero() != (ra.and(rb).popcount() == 0) {
-				t.Fatalf("width %d: Zero() inconsistent with popcount", width)
+			inter := maskFromRef(ra.and(rb), width)
+			if !inter.SubsetOf(a) || !inter.SubsetOf(b) {
+				t.Fatalf("width %d: intersection not a subset of its operands", width)
 			}
 		}
 	}
@@ -185,9 +182,9 @@ func TestMaskFillLowBoundary(t *testing.T) {
 			if got := m.Count(); got != n {
 				t.Fatalf("width %d: FillLow(%d) set %d bits", width, n, got)
 			}
-			for i := 0; i < width; i++ {
-				if m.Has(i) != (i < n) {
-					t.Fatalf("width %d: FillLow(%d): Has(%d) = %v", width, n, i, m.Has(i))
+			for k, i := range maskBits(m) {
+				if i != k {
+					t.Fatalf("width %d: FillLow(%d) set bit %d", width, n, i)
 				}
 			}
 		}

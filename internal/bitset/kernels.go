@@ -1,7 +1,5 @@
 package bitset
 
-import "math/bits"
-
 // Batched mask kernels over packed mask storage.
 //
 // A bitmap CG stores its masks packed in one []uint64 (stride words per
@@ -324,20 +322,6 @@ func DropCoveredPacked(lp, lq, packed []uint64, stride int, ks []int32) int {
 				n++
 			}
 		}
-	}
-	return n
-}
-
-// MaskAndCount stores a AND b into dst and returns the population count of
-// the result in the same pass (fused AND+popcount). Widths must match.
-func MaskAndCount(dst, a, b Mask) int {
-	_ = dst[len(a)-1]
-	_ = b[len(a)-1]
-	n := 0
-	for i := range a {
-		w := a[i] & b[i]
-		dst[i] = w
-		n += bits.OnesCount64(w)
 	}
 	return n
 }

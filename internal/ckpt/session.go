@@ -156,9 +156,6 @@ func (s *Session) StartRoot() int32 { return s.start }
 // core.Options.Frontier).
 func (s *Session) Frontier() *Frontier { return s.frontier }
 
-// Writer returns the spool writer (nil when AlreadyComplete).
-func (s *Session) Writer() *spool.Writer { return s.writer }
-
 // Stats snapshots the writer's flushed-output counters.
 func (s *Session) Stats() spool.Stats {
 	if s.writer == nil {

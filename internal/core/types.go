@@ -54,10 +54,6 @@ func (v Variant) String() string {
 	}
 }
 
-// Variants lists every serial variant in ablation order. The differential
-// harness iterates this to cover the whole AdaMBE family.
-func Variants() []Variant { return []Variant{Baseline, LN, BIT, Ada} }
-
 // DefaultTau is the paper's default bitmap threshold τ (§III-B: one 64-bit
 // word per set intersection).
 const DefaultTau = 64

@@ -9,32 +9,6 @@ import (
 	"repro/internal/order"
 )
 
-// Engine identifies one enumeration implementation: an entry of the
-// engine registry (internal/engine), which supplies its spelling
-// (String, ParseEngine) and capabilities (Parallel).
-type Engine = engine.ID
-
-// The engines, in the paper's names.
-const (
-	EngBaseline = engine.Baseline  // core Baseline (Algorithm 1)
-	EngLN       = engine.AdaMBELN  // core AdaMBE-LN
-	EngBIT      = engine.AdaMBEBIT // core AdaMBE-BIT
-	EngAda      = engine.AdaMBE    // core AdaMBE (Algorithm 2)
-	EngParAda   = engine.ParAdaMBE // ParAdaMBE (AdaMBE under the work-stealing pool)
-	EngFMBE     = engine.FMBE
-	EngPMBE     = engine.PMBE
-	EngOOMBEA   = engine.OOMBEA
-	EngParMBE   = engine.ParMBE
-	EngGMBE     = engine.GMBE
-	EngBBK      = engine.BBK // pivot-based bipartite Bron–Kerbosch
-)
-
-// Engines lists every engine the differential harness covers.
-func Engines() []Engine { return engine.All() }
-
-// ParseEngine inverts Engine.String.
-func ParseEngine(s string) (Engine, error) { return engine.Parse(s) }
-
 // FaultSpec is a seeded emission mutation the runner injects through
 // internal/faultinject at EmitSite: exactly one biclique (the Visit-th
 // emitted) is dropped ("skip") or delivered twice ("dup"). It simulates
@@ -67,7 +41,7 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 // fault. Configs are value types and serialize losslessly via String /
 // ParseConfig for repro files.
 type Config struct {
-	Engine  Engine
+	Engine  engine.ID
 	Order   order.Kind
 	Seed    int64 // ordering seed (order.Random)
 	Threads int   // 0 or 1 = serial; >1 only for Parallel() engines
@@ -98,7 +72,7 @@ func ParseConfig(s string) (Config, error) {
 		var err error
 		switch key {
 		case "engine":
-			c.Engine, err = ParseEngine(val)
+			c.Engine, err = engine.Parse(val)
 		case "order":
 			c.Order, err = order.ParseKind(val)
 		case "seed":
@@ -148,8 +122,8 @@ func Matrix(o MatrixOpts) []Config {
 		orders = []order.Kind{order.DegreeAscending, order.Random, order.UnilateralCore}
 	}
 	var out []Config
-	out = append(out, Config{Engine: EngAda, Order: orders[0], Seed: o.Seed, Threads: 1, Tau: o.Tau})
-	for _, e := range Engines() {
+	out = append(out, Config{Engine: engine.AdaMBE, Order: orders[0], Seed: o.Seed, Threads: 1, Tau: o.Tau})
+	for _, e := range engine.All() {
 		ts := []int{1}
 		if e.Parallel() {
 			ts = threads

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -35,7 +36,7 @@ func quickFamilies(t *testing.T) map[string]*graph.Bipartite {
 func TestSweepAllEnginesAgree(t *testing.T) {
 	configs := Matrix(MatrixOpts{Threads: []int{1, 4, 8}, Seed: 7})
 	wantCells := 0
-	for _, e := range Engines() {
+	for _, e := range engine.All() {
 		if e.Parallel() {
 			wantCells += 3 * 3
 		} else {
@@ -101,7 +102,7 @@ func TestSweepTauBoundaries(t *testing.T) {
 		}
 		want := BruteDigest(dense)
 		for _, c := range configs {
-			if c.Engine != EngAda && c.Engine != EngParAda {
+			if c.Engine != engine.AdaMBE && c.Engine != engine.ParAdaMBE {
 				continue
 			}
 			got, err := Run(dense, c)
@@ -136,7 +137,7 @@ func TestBBKSweepAgainstOracle(t *testing.T) {
 	for name, g := range graphs {
 		want := BruteDigest(g)
 		for _, c := range configs {
-			if c.Engine != EngBBK {
+			if c.Engine != engine.BBK {
 				continue
 			}
 			got, err := Run(g, c)
@@ -169,10 +170,10 @@ func TestMetamorphicInvariance(t *testing.T) {
 		"affiliation": gen.Affiliation(202, gen.AffiliationConfig{NU: 36, NV: 20, Communities: 5, MeanU: 4, MeanV: 3, Density: 0.9, NoiseEdges: 20}),
 	}
 	engines := []Config{
-		{Engine: EngAda},
-		{Engine: EngParAda, Threads: 4},
-		{Engine: EngFMBE},
-		{Engine: EngBBK},
+		{Engine: engine.AdaMBE},
+		{Engine: engine.ParAdaMBE, Threads: 4},
+		{Engine: engine.FMBE},
+		{Engine: engine.BBK},
 	}
 	for gname, g := range graphs {
 		ref, err := Run(g, engines[0])
@@ -267,7 +268,7 @@ func TestRunRejectsIncompleteRuns(t *testing.T) {
 	// the engine directly: Run has no deadline knob (by design), so this
 	// guards the StopReason check instead via a config that cannot
 	// complete — the smallest way is an impossible thread/variant combo.
-	if _, err := Run(g, Config{Engine: Engine(99)}); err == nil {
+	if _, err := Run(g, Config{Engine: engine.ID(99)}); err == nil {
 		t.Fatal("unknown engine must error")
 	}
 	var d Digest

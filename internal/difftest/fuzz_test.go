@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -68,7 +69,7 @@ func FuzzBBK(f *testing.F) {
 		}
 		want := BruteDigest(g)
 		for _, c := range configs {
-			if c.Engine != EngBBK {
+			if c.Engine != engine.BBK {
 				continue
 			}
 			got, err := Run(g, c)
@@ -78,7 +79,7 @@ func FuzzBBK(f *testing.F) {
 			if got.Equal(want) {
 				continue
 			}
-			ref := Config{Engine: EngAda, Order: c.Order, Seed: c.Seed, Threads: 1}
+			ref := Config{Engine: engine.AdaMBE, Order: c.Order, Seed: c.Seed, Threads: 1}
 			min := Minimize(g, MismatchProperty(c, ref), 0)
 			path, serr := SaveRepro("testdata/repros", Repro{
 				Graph:  min,

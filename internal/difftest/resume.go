@@ -23,8 +23,7 @@ import (
 // SpoolRunResult reports one RunSpooled lifecycle.
 type SpoolRunResult struct {
 	Digest   Digest
-	Attempts int   // enumeration attempts (interrupts + the final complete run)
-	Records  int64 // records in the final spool
+	Attempts int // enumeration attempts (interrupts + the final complete run)
 	// Detached counts the subtrees a parallel engine detached into its
 	// scheduler beyond the root seeds, over every attempt.
 	Detached int64
@@ -58,8 +57,7 @@ func RunSpooled(g *graph.Bipartite, c Config, dir string, interrupts []int64) (S
 			return out, err
 		}
 		if complete {
-			d, n, err := SpoolReplayDigest(dir)
-			out.Digest, out.Records = d, n
+			out.Digest, err = SpoolDigest(dir)
 			return out, err
 		}
 	}
@@ -105,20 +103,16 @@ func runSpooledOnce(g *graph.Bipartite, c Config, dir string, resume bool, cance
 	return res.StopReason == core.StopNone, nil
 }
 
-// SpoolReplayDigest digests the spool's contents — the replay-side twin
-// of Run's in-memory digest, comparable against it directly (the spool
+// SpoolDigest digests the spool's contents — the replay-side twin of
+// Run's in-memory digest, comparable against it directly (the spool
 // stores sides sorted in the original id space, and the fingerprint is
 // order-invariant within sides). Fails on a dirty shard tail: a digest
 // of silently truncated output is not comparable.
-func SpoolReplayDigest(dir string) (Digest, int64, error) {
+func SpoolDigest(dir string) (Digest, error) {
 	var d Digest
-	var n int64
-	states, err := spool.Replay(dir, func(_ int32, L, R []int32) {
-		d.Observe(L, R)
-		n++
-	})
+	states, err := spool.Replay(dir, func(_ int32, L, R []int32) { d.Observe(L, R) })
 	if err != nil {
-		return d, n, err
+		return d, err
 	}
-	return d, n, spool.Clean(states)
+	return d, spool.Clean(states)
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/order"
@@ -24,7 +25,7 @@ func TestInjectedMutationCaughtAndMinimized(t *testing.T) {
 	g := gen.Affiliation(303, gen.AffiliationConfig{
 		NU: 40, NV: 24, Communities: 6, MeanU: 4, MeanV: 3, Density: 0.9, NoiseEdges: 30,
 	})
-	clean := Config{Engine: EngAda, Order: order.DegreeAscending}
+	clean := Config{Engine: engine.AdaMBE, Order: order.DegreeAscending}
 	faulty := clean
 	faulty.Fault = &FaultSpec{Kind: "skip", Visit: 1}
 
@@ -94,7 +95,7 @@ func TestInjectedMutationCaughtAndMinimized(t *testing.T) {
 // and which digests catch even when paired with a drop.
 func TestDupMutationCaughtAndMinimized(t *testing.T) {
 	g := gen.Uniform(304, 40, 20, 160)
-	clean := Config{Engine: EngAda}
+	clean := Config{Engine: engine.AdaMBE}
 	faulty := clean
 	faulty.Fault = &FaultSpec{Kind: "dup", Visit: 1}
 
@@ -142,8 +143,8 @@ func TestReproRoundTrip(t *testing.T) {
 	g := gen.Uniform(55, 9, 6, 20)
 	r := Repro{
 		Graph:  g,
-		A:      Config{Engine: EngParAda, Order: order.Random, Seed: 9, Threads: 8, Tau: 128},
-		B:      Config{Engine: EngGMBE, Order: order.UnilateralCore, Threads: 4},
+		A:      Config{Engine: engine.ParAdaMBE, Order: order.Random, Seed: 9, Threads: 8, Tau: 128},
+		B:      Config{Engine: engine.GMBE, Order: order.UnilateralCore, Threads: 4},
 		Expect: ExpectAgree,
 		Note:   "round-trip fixture",
 	}

@@ -35,9 +35,6 @@ type WorkerOptions struct {
 	// Threads bounds the parallel engine's width; <= 0 means 1. Ignored
 	// by the serial engines.
 	Threads int
-	// Client is the HTTP client; nil uses a default with no overall
-	// timeout (streams are long-lived).
-	Client *http.Client
 	// PollInterval is the wait between lease polls when the coordinator
 	// answers 204 (everything currently leased); 0 means 500ms.
 	PollInterval time.Duration
@@ -75,15 +72,12 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = 200 * time.Millisecond
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	log := opts.Log
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
-	return &Worker{opts: opts, client: client, log: log}
+	// No overall client timeout: range streams are long-lived.
+	return &Worker{opts: opts, client: &http.Client{}, log: log}
 }
 
 // retryPolicy is the worker's schedule for idempotent control calls

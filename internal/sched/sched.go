@@ -73,9 +73,10 @@ type deque[T any] struct {
 }
 
 // Pool is a fixed-width work-stealing scheduler. Workers are identified by
-// index [0, Workers()); worker w may call Next/CanPush/Push only with its
-// own index. A task is pending from Push until the matching TaskDone; the
-// pool drains (Next returns ok=false everywhere) once pending reaches zero.
+// index [0, workers) of NewPool; worker w may call Next/CanPush/Push only
+// with its own index. A task is pending from Push until the matching
+// TaskDone; the pool drains (Next returns ok=false everywhere) once
+// pending reaches zero.
 type Pool[T any] struct {
 	deques  []deque[T]
 	pending atomic.Int64
@@ -109,12 +110,6 @@ func NewPool[T any](workers, capacity int) *Pool[T] {
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
-
-// Workers returns the pool width.
-func (p *Pool[T]) Workers() int { return len(p.deques) }
-
-// Capacity returns the per-worker deque capacity.
-func (p *Pool[T]) Capacity() int { return len(p.deques[0].buf) }
 
 // Occupancy returns how many tasks sit in worker w's deque right now.
 func (p *Pool[T]) Occupancy(w int) int { return int(p.deques[w].occ.Load()) }

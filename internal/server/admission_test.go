@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -46,7 +47,8 @@ func expectShed(t *testing.T, d *testDaemon, spec server.JobSpec, context string
 // TestSaturationShedsButReadsSurvive is the load-shedding acceptance
 // test: with the queue saturated by in-flight work, further submits are
 // shed with 429 + Retry-After while status reads, job listings, result
-// streams and /debug endpoints all keep answering.
+// streams and /debug endpoints all keep answering, and once the
+// in-flight jobs are canceled a submit is admitted again.
 func TestSaturationShedsButReadsSurvive(t *testing.T) {
 	checkLeaks := faultinject.CheckGoroutines(t)
 
@@ -89,14 +91,36 @@ func TestSaturationShedsButReadsSurvive(t *testing.T) {
 		}
 	}
 
-	// Drain: once the jobs finish, their slots free and submits pass
-	// admission again.
-	d.wait(first.JobID, 2*time.Minute)
-	d.wait(second.JobID, 2*time.Minute)
-	if _, resp := d.submitJob(server.JobSpec{GraphID: id, Threads: 1, Ordering: "rand", Seed: 1}); resp.StatusCode != http.StatusOK {
-		// Seed 1 finished above: this is a cache hit (200), proving the
-		// shed submit was never silently queued.
-		t.Errorf("post-drain submit: %d, want 200 cache hit", resp.StatusCode)
+	// The listing holds exactly the two admitted jobs: the shed submit
+	// was never silently queued.
+	var list struct {
+		Jobs []server.Manifest `json:"jobs"`
+	}
+	d.do("GET", "/v1/jobs", nil, &list)
+	var listed []string
+	for _, m := range list.Jobs {
+		listed = append(listed, m.ID)
+	}
+	slices.Sort(listed)
+	admitted := []string{first.JobID, second.JobID}
+	slices.Sort(admitted)
+	if !slices.Equal(listed, admitted) {
+		t.Errorf("GET /v1/jobs while saturated lists %v, want the admitted %v", listed, admitted)
+	}
+
+	// Cancel both: their slots free and the shed submit passes admission.
+	for _, jid := range admitted {
+		if resp := d.do("POST", "/v1/jobs/"+jid+"/cancel", nil, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel %s: %d", jid, resp.StatusCode)
+		}
+	}
+	for _, jid := range admitted {
+		if m := d.wait(jid, 30*time.Second); m.State != server.JobCanceled {
+			t.Errorf("job %s ended %s, want canceled", jid, m.State)
+		}
+	}
+	if _, resp := d.submitJob(server.JobSpec{GraphID: id, Threads: 1, Ordering: "rand", Seed: 3}); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("submit after the cancels: %d, want 202", resp.StatusCode)
 	}
 
 	d.stop()
@@ -137,7 +161,7 @@ func TestMemoryTripShedsEngineWidth(t *testing.T) {
 		t.Run(tc.algorithm, func(t *testing.T) {
 			d := startDaemon(t, server.Config{
 				CheckpointEvery: 5 * time.Millisecond,
-				Backoff:         server.Backoff{Base: time.Millisecond, Jitter: server.NoJitter},
+				Backoff:         server.Backoff{Base: time.Millisecond},
 			})
 			id := d.submitGraph(bigGraph())
 			sub, resp := d.submitJob(server.JobSpec{GraphID: id, Algorithm: tc.algorithm, Threads: 4, MaxMemoryBytes: 4096})

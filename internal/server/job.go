@@ -114,9 +114,6 @@ type JobResult struct {
 	Digest string `json:"digest"`
 	// ElapsedMS sums the enumeration wall time across attempts.
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// CacheHit marks a job served from the result cache without
-	// enumerating anything.
-	CacheHit bool `json:"cache_hit,omitempty"`
 }
 
 // Manifest is the crash-safe on-disk record of a job (job.json in the

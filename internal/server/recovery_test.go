@@ -195,7 +195,7 @@ func TestRetryPathRecovers(t *testing.T) {
 	want := directDigest(t, g)
 	fails := 2
 	d := startDaemon(t, server.Config{
-		Backoff: server.Backoff{Base: time.Millisecond, Jitter: server.NoJitter},
+		Backoff: server.Backoff{Base: time.Millisecond},
 		FaultHook: func(site string) error {
 			if site == "server/attempt" && fails > 0 {
 				fails--
@@ -220,7 +220,7 @@ func TestRetryPathRecovers(t *testing.T) {
 func TestRetryBudgetExhaustedIsTerminal(t *testing.T) {
 	d := startDaemon(t, server.Config{
 		MaxAttempts: 2,
-		Backoff:     server.Backoff{Base: time.Millisecond, Jitter: server.NoJitter},
+		Backoff:     server.Backoff{Base: time.Millisecond},
 		FaultHook:   func(site string) error { return errInjected },
 	})
 	id := d.submitGraph(smallGraph())

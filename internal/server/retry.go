@@ -17,25 +17,16 @@ import (
 	"time"
 )
 
-// Backoff is an exponential backoff schedule with full jitter. The zero
-// value means 100ms base, 5s cap, ×2 growth, full jitter.
+// Backoff is an exponential backoff schedule with full jitter: the
+// nominal delay doubles per retry up to Max, and the actual delay is
+// uniform in (0, nominal], which decorrelates the retry storms of many
+// jobs failing at once. The zero value means 100ms base, 5s cap.
 type Backoff struct {
 	// Base is the nominal first delay.
 	Base time.Duration
 	// Max caps the nominal delay (before jitter).
 	Max time.Duration
-	// Factor is the per-retry growth of the nominal delay.
-	Factor float64
-	// Jitter in (0,1] is the fraction of the nominal delay that is
-	// randomized away: the actual delay is uniform in
-	// [nominal·(1−Jitter), nominal]. The zero value means full jitter
-	// (1), which decorrelates the retry storms of many jobs failing at
-	// once; NoJitter pins the schedule to the nominal delays.
-	Jitter float64
 }
-
-// NoJitter disables jitter when assigned to Backoff.Jitter.
-const NoJitter = -1
 
 func (b Backoff) base() time.Duration {
 	if b.Base <= 0 {
@@ -51,34 +42,14 @@ func (b Backoff) max() time.Duration {
 	return b.Max
 }
 
-func (b Backoff) factor() float64 {
-	if b.Factor < 1 {
-		return 2
-	}
-	return b.Factor
-}
-
-func (b Backoff) jitter() float64 {
-	switch {
-	case b.Jitter == 0:
-		return 1
-	case b.Jitter < 0:
-		return 0
-	case b.Jitter > 1:
-		return 1
-	}
-	return b.Jitter
-}
-
 // Delay returns the jittered delay before retry number retry (0 = the
 // wait after the first failed attempt), drawing jitter from rng. A nil
 // rng uses the process-global source; a seeded rng makes the whole
 // schedule deterministic, which is how the tests pin it.
 func (b Backoff) Delay(retry int, rng *rand.Rand) time.Duration {
 	nominal := float64(b.base())
-	f := b.factor()
 	for i := 0; i < retry; i++ {
-		nominal *= f
+		nominal *= 2
 		if nominal >= float64(b.max()) {
 			break
 		}
@@ -86,16 +57,11 @@ func (b Backoff) Delay(retry int, rng *rand.Rand) time.Duration {
 	if m := float64(b.max()); nominal > m {
 		nominal = m
 	}
-	j := b.jitter()
-	if j == 0 {
-		return time.Duration(nominal)
-	}
 	u := rand.Float64
 	if rng != nil {
 		u = rng.Float64
 	}
-	// Uniform in [nominal·(1−j), nominal].
-	return time.Duration(nominal * (1 - j*u()))
+	return time.Duration(nominal * (1 - u()))
 }
 
 // permanent wraps an error to mark it non-retryable.
@@ -127,9 +93,6 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// Backoff is the delay schedule between attempts.
 	Backoff Backoff
-	// Rand, if non-nil, is the jitter source (seed it for deterministic
-	// schedules in tests).
-	Rand *rand.Rand
 	// Sleep, if non-nil, replaces the context-aware wait between
 	// attempts — the test seam for observing the schedule without
 	// sleeping. It must return ctx.Err() if ctx is done before d
@@ -190,7 +153,7 @@ func Retry(ctx context.Context, p RetryPolicy, attempt func(try int) error) erro
 	n := p.attempts()
 	for try := 0; try < n; try++ {
 		if try > 0 {
-			if err := p.sleep(ctx, p.Backoff.Delay(try-1, p.Rand)); err != nil {
+			if err := p.sleep(ctx, p.Backoff.Delay(try-1, nil)); err != nil {
 				return fmt.Errorf("%w (while backing off from: %v)", err, last)
 			}
 		}

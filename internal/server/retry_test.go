@@ -11,10 +11,11 @@ import (
 
 // TestBackoffDeterministicSchedule pins the jittered schedule under a
 // seeded rand: full jitter draws uniformly in [0, nominal], so with the
-// same seed the exact delays must reproduce, and every delay must stay
-// inside its attempt's envelope.
+// same seed the exact delays must reproduce, every delay must stay inside
+// its attempt's envelope, and it must be the nominal delay (doubling from
+// Base, capped at Max) scaled by the seed's one draw.
 func TestBackoffDeterministicSchedule(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second, Factor: 2}
+	b := Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second}
 
 	want := make([]time.Duration, 8)
 	for i := range want {
@@ -32,6 +33,10 @@ func TestBackoffDeterministicSchedule(t *testing.T) {
 		if got < 0 || got > nominal {
 			t.Errorf("retry %d: delay %v outside [0, %v]", i, got, nominal)
 		}
+		u := rand.New(rand.NewSource(42)).Float64()
+		if exact := time.Duration(float64(nominal) * (1 - u)); got != exact {
+			t.Errorf("retry %d: delay %v, want %v (nominal %v scaled by 1-%.3f)", i, got, exact, nominal, u)
+		}
 	}
 
 	// Different seeds should disagree somewhere — otherwise the jitter
@@ -47,25 +52,12 @@ func TestBackoffDeterministicSchedule(t *testing.T) {
 	}
 }
 
-func TestBackoffNoJitterAndCap(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: NoJitter}
-	want := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, time.Second, time.Second, // capped at Max
-	}
-	for i, w := range want {
-		if got := b.Delay(i, nil); got != w {
-			t.Errorf("retry %d: Delay = %v, want %v", i, got, w)
-		}
-	}
-}
-
 func TestRetryBudgetExhaustion(t *testing.T) {
 	var tries []int
 	boom := errors.New("boom")
 	p := RetryPolicy{
 		MaxAttempts: 4,
-		Backoff:     Backoff{Base: time.Nanosecond, Jitter: NoJitter},
+		Backoff:     Backoff{Base: time.Nanosecond},
 		Sleep:       func(ctx context.Context, d time.Duration) error { return nil },
 	}
 	err := Retry(context.Background(), p, func(try int) error {
@@ -127,7 +119,7 @@ func TestRetryContextCanceledMidBackoff(t *testing.T) {
 	calls := 0
 	p := RetryPolicy{
 		MaxAttempts: 5,
-		Backoff:     Backoff{Base: time.Hour, Jitter: NoJitter}, // real sleep would hang the test
+		Backoff:     Backoff{Base: time.Hour}, // real sleep would hang the test
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			close(sleeping)
 			<-ctx.Done()
@@ -156,7 +148,7 @@ func TestRetryContextCanceledMidBackoff(t *testing.T) {
 func TestRetryDefaultSleepHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := RetryPolicy{MaxAttempts: 3, Backoff: Backoff{Base: time.Hour, Jitter: NoJitter}}
+	p := RetryPolicy{MaxAttempts: 3, Backoff: Backoff{Base: time.Hour}}
 	start := time.Now()
 	err := Retry(ctx, p, func(try int) error { return errors.New("transient") })
 	if !errors.Is(err, context.Canceled) {

@@ -85,7 +85,7 @@ func (s *Server) runJob(j *job) {
 	}
 
 	var elapsed time.Duration
-	policy := RetryPolicy{MaxAttempts: s.cfg.maxAttempts(), Backoff: s.cfg.Backoff, Rand: s.cfg.Rand}
+	policy := RetryPolicy{MaxAttempts: s.cfg.maxAttempts(), Backoff: s.cfg.Backoff}
 	err = Retry(jobCtx, policy, func(try int) error {
 		res, aerr := s.attempt(jobCtx, j, g, try)
 		elapsed += res.Elapsed

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/rand"
 	"net/http"
 	"runtime"
 	"sync"
@@ -51,8 +50,6 @@ type Config struct {
 	MaxAttempts int
 	// Backoff is the retry delay schedule.
 	Backoff Backoff
-	// Rand seeds the backoff jitter (tests); nil = global source.
-	Rand *rand.Rand
 	// CheckpointEvery is each job's checkpoint cadence; 0 = the ckpt
 	// default (10s). Tests shrink it so kill -9 has something to find.
 	CheckpointEvery time.Duration

@@ -37,9 +37,6 @@ func OpenStore(root string) (*Store, error) {
 	return &Store{root: root}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 func (s *Store) graphPath(id string) string {
 	return filepath.Join(s.root, "graphs", id+".bin")
 }

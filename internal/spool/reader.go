@@ -6,7 +6,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -229,9 +228,6 @@ func TotalRecords(states []ShardState) int64 {
 	}
 	return n
 }
-
-// ErrNotSpool reports a directory without a spool meta file.
-var ErrNotSpool = errors.New("spool: no spool.json in directory")
 
 // IsSpool checks whether dir looks like a spool directory.
 func IsSpool(dir string) bool {

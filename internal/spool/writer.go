@@ -158,12 +158,6 @@ func newShardWriter(w *Writer, idx int, f *os.File, offset int64) *shardWriter {
 	return s
 }
 
-// Meta returns the spool's identity record.
-func (w *Writer) Meta() Meta { return w.meta }
-
-// Shards returns the shard count (the worker→shard routing modulus).
-func (w *Writer) Shards() int { return len(w.shards) }
-
 // Emit appends one biclique to worker's shard. Sides are copied (and
 // sorted if needed) before encoding, so the caller may reuse its
 // slices immediately — the same contract as an OnBiclique handler.

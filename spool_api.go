@@ -1,6 +1,9 @@
 package mbe
 
-import "repro/internal/spool"
+import (
+	"repro/internal/difftest"
+	"repro/internal/spool"
+)
 
 // ReadSpool streams every biclique stored in the spool at dir to fn, in
 // shard order, and returns how many records were delivered. The L and R
@@ -27,11 +30,4 @@ func ReadSpool(dir string, fn Handler) (int64, error) {
 // multiset summary used to compare a spooled (or resumed) run against
 // any other enumeration of the same graph. Unlike ReadSpool it fails on
 // a corrupt tail rather than digesting a silently shortened output.
-func SpoolDigest(dir string) (Digest, error) {
-	var d Digest
-	states, err := spool.Replay(dir, func(_ int32, L, R []int32) { d.Observe(L, R) })
-	if err != nil {
-		return d, err
-	}
-	return d, spool.Clean(states)
-}
+func SpoolDigest(dir string) (Digest, error) { return difftest.SpoolDigest(dir) }
