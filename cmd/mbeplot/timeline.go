@@ -133,7 +133,8 @@ var escape = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&
 // stackedPercent renders 100%-stacked bars as a self-contained SVG: one
 // bar per category, split into each series' share of the category total,
 // on a fixed 0–100% axis of workers. A category whose total is 0 draws no
-// bar. cats must be non-empty, and every series needs a value per
+// bar, and a series whose value in a category is 0 draws no segment in
+// it. cats must be non-empty, and every series needs a value per
 // category.
 func stackedPercent(title string, cats []string, ss []series) string {
 	var b strings.Builder
@@ -178,6 +179,9 @@ func stackedPercent(title string, cats []string, ss []series) string {
 		}
 		yBase := float64(marginT + plotH)
 		for si, s := range ss {
+			if s.values[ci] <= 0 {
+				continue
+			}
 			frac := s.values[ci] / total * 100
 			h := float64(plotH) * frac / 100
 			x := float64(marginL) + float64(ci)*groupW + groupW*0.15

@@ -16,6 +16,7 @@ import (
 // svgDoc is the part of the chart the tests read back.
 type svgDoc struct {
 	Rects []struct {
+		X      string `xml:"x,attr"`
 		Width  string `xml:"width,attr"`
 		Height string `xml:"height,attr"`
 		Fill   string `xml:"fill,attr"`
@@ -149,14 +150,15 @@ func TestRenderTimeline(t *testing.T) {
 	}
 
 	// Between the background and the legend swatches, each tick stacks one
-	// segment per legend state, colored as its swatch and as tall as the
-	// state's share of the tick's workers.
+	// segment per state its workers are in, in legend order, colored as
+	// the state's swatch and as tall as the state's share of the tick's
+	// workers. A state no worker of the tick is in draws no segment, so
+	// every segment has a non-zero height.
 	bars := doc.Rects[1 : len(doc.Rects)-len(legend)]
 	swatches := doc.Rects[len(doc.Rects)-len(legend):]
-	if len(bars) != len(ticks)*len(legend) {
-		t.Fatalf("%d bar segments, want %d ticks × %d states", len(bars), len(ticks), len(legend))
-	}
+	prevX := math.Inf(-1)
 	for ti, states := range ticks {
+		tickX := ""
 		for si, state := range legend {
 			n := 0
 			for _, s := range states {
@@ -164,7 +166,14 @@ func TestRenderTimeline(t *testing.T) {
 					n++
 				}
 			}
-			seg := bars[ti*len(legend)+si]
+			if n == 0 {
+				continue
+			}
+			if len(bars) == 0 {
+				t.Fatalf("tick %d %s: no segment left", ti, state)
+			}
+			seg := bars[0]
+			bars = bars[1:]
 			h, err := strconv.ParseFloat(seg.Height, 64)
 			if err != nil {
 				t.Fatal(err)
@@ -175,7 +184,22 @@ func TestRenderTimeline(t *testing.T) {
 			if seg.Fill != swatches[si].Fill {
 				t.Errorf("tick %d %s: fill %s, legend swatch %s", ti, state, seg.Fill, swatches[si].Fill)
 			}
+			if tickX == "" {
+				x, err := strconv.ParseFloat(seg.X, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if x <= prevX {
+					t.Errorf("tick %d starts at x=%v, not right of the previous tick's %v", ti, x, prevX)
+				}
+				tickX, prevX = seg.X, x
+			} else if seg.X != tickX {
+				t.Errorf("tick %d %s: x=%s, the tick's other segments are at x=%s", ti, state, seg.X, tickX)
+			}
 		}
+	}
+	if len(bars) != 0 {
+		t.Fatalf("%d bar segments beyond one per state present in each tick", len(bars))
 	}
 }
 

@@ -1,15 +1,10 @@
 package mbe
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/finder"
 )
-
-// ErrTimedOut reports that a counting run hit its deadline; the returned
-// count is the partial progress.
-var ErrTimedOut = errors.New("mbe: deadline exceeded (partial result)")
 
 // Biclique is a concrete biclique with both sides materialized.
 type Biclique = finder.Biclique
@@ -70,18 +65,4 @@ func EnumerateSizeBounded(g *Graph, p, q int, handler Handler, opts FindOptions)
 func TopKEdgeBicliques(g *Graph, k int, opts FindOptions) ([]Biclique, error) {
 	out, _, err := finder.TopKEdgeBicliques(g.b, k, opts.internal())
 	return out, err
-}
-
-// CountPQBicliques returns the exact number of (p,q)-bicliques — complete
-// bipartite subgraphs with exactly p U-vertices and q V-vertices, maximal
-// or not. Intended for small q; the count saturates at MaxInt64.
-func CountPQBicliques(g *Graph, p, q int, opts FindOptions) (int64, error) {
-	n, timedOut, err := finder.CountPQBicliques(g.b, p, q, opts.Deadline)
-	if err != nil {
-		return 0, err
-	}
-	if timedOut {
-		return n, ErrTimedOut
-	}
-	return n, nil
 }

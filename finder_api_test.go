@@ -118,29 +118,3 @@ func TestFinderAPIParallelAndDeadline(t *testing.T) {
 		t.Fatal("deadline not honored")
 	}
 }
-
-func TestFinderAPICountPQ(t *testing.T) {
-	g := paperGraph(t)
-	// (1,1)-bicliques = edges = 22.
-	n, err := mbe.CountPQBicliques(g, 1, 1, mbe.FindOptions{})
-	if err != nil || n != 22 {
-		t.Fatalf("(1,1) = %d, %v; want 22", n, err)
-	}
-	// (4,3): subsets of the Figure 1 biclique's span plus any other
-	// 4×3 complete blocks. The only 4×3-complete block in G0 is
-	// ({u0,u4,u5,u6},{v0,v2,v3}) itself → exactly 1.
-	n, err = mbe.CountPQBicliques(g, 4, 3, mbe.FindOptions{})
-	if err != nil || n != 1 {
-		t.Fatalf("(4,3) = %d, %v; want 1", n, err)
-	}
-	if _, err := mbe.CountPQBicliques(g, 0, 1, mbe.FindOptions{}); err == nil {
-		t.Fatal("p=0 accepted")
-	}
-	// Expired deadline surfaces ErrTimedOut.
-	big := mbe.GenerateAffiliation(3, mbe.AffiliationConfig{
-		NU: 2000, NV: 800, Communities: 250, MeanU: 12, MeanV: 6, Density: 0.9,
-	})
-	if _, err := mbe.CountPQBicliques(big, 2, 3, mbe.FindOptions{Deadline: time.Now().Add(-time.Second)}); err != mbe.ErrTimedOut {
-		t.Fatalf("want ErrTimedOut, got %v", err)
-	}
-}

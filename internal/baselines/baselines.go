@@ -125,7 +125,6 @@ func Run(g *graph.Bipartite, alg Algorithm, opts core.Options) (core.Result, err
 	default:
 		return core.Result{}, fmt.Errorf("baselines: unknown algorithm %q", alg)
 	}
-	res.TimedOut = res.StopReason == core.StopDeadline
 	res.Elapsed = time.Since(start)
 	return res, err
 }

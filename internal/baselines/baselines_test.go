@@ -130,8 +130,8 @@ func TestBaselinesDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.TimedOut {
-			t.Fatalf("%s: expired deadline not reported", alg)
+		if res.StopReason != core.StopDeadline {
+			t.Fatalf("%s: expired deadline not reported: StopReason = %v", alg, res.StopReason)
 		}
 		if res.Count > full.Count {
 			t.Fatalf("%s: partial count %d > full %d", alg, res.Count, full.Count)

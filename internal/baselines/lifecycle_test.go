@@ -137,9 +137,6 @@ func TestBaselinesDeadlineStopReason(t *testing.T) {
 		if res.StopReason != core.StopDeadline {
 			t.Fatalf("%s: StopReason = %v, want StopDeadline", alg, res.StopReason)
 		}
-		if !res.TimedOut {
-			t.Fatalf("%s: deprecated TimedOut not mirrored", alg)
-		}
 	}
 }
 

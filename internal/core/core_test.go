@@ -299,7 +299,7 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestDeadlineStopsEnumeration(t *testing.T) {
 	// A dense-ish graph with plenty of bicliques; an already-expired
-	// deadline must stop the run early and flag TimedOut.
+	// deadline must stop the run early and report StopDeadline.
 	g := randomBipartite(t, 7, 60, 18, 500)
 	full, err := Enumerate(g, Options{Variant: Ada})
 	if err != nil {
@@ -317,8 +317,8 @@ func TestDeadlineStopsEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.TimedOut {
-			t.Fatalf("threads=%d: run with expired deadline did not report TimedOut", threads)
+		if res.StopReason != StopDeadline {
+			t.Fatalf("threads=%d: run with expired deadline: StopReason = %v, want StopDeadline", threads, res.StopReason)
 		}
 		if res.Count > full.Count {
 			t.Fatalf("threads=%d: partial count %d exceeds full %d", threads, res.Count, full.Count)
@@ -329,8 +329,8 @@ func TestDeadlineStopsEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TimedOut || res.Count != full.Count {
-		t.Fatalf("generous deadline: TimedOut=%v count=%d want %d", res.TimedOut, res.Count, full.Count)
+	if res.StopReason != StopNone || res.Count != full.Count {
+		t.Fatalf("generous deadline: StopReason=%v count=%d want %d", res.StopReason, res.Count, full.Count)
 	}
 }
 

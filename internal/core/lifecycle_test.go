@@ -110,9 +110,6 @@ func TestContextCancelMidRun(t *testing.T) {
 		if res.Count < 100 || res.Count >= full {
 			t.Fatalf("threads=%d: partial count %d, want in [100, %d)", threads, res.Count, full)
 		}
-		if res.TimedOut {
-			t.Fatalf("threads=%d: TimedOut set on cancellation", threads)
-		}
 	}
 }
 
@@ -196,9 +193,6 @@ func TestDeadlineStopReasonAllVariants(t *testing.T) {
 		}
 		if res.StopReason != StopDeadline {
 			t.Fatalf("%s: StopReason = %v, want StopDeadline", cfgName(o), res.StopReason)
-		}
-		if !res.TimedOut {
-			t.Fatalf("%s: deprecated TimedOut not mirrored", cfgName(o))
 		}
 	}
 }

@@ -298,11 +298,6 @@ type Result struct {
 	// completing; Count and any gathered Metrics are still valid partial
 	// results.
 	StopReason StopReason
-	// TimedOut mirrors StopReason == StopDeadline.
-	//
-	// Deprecated: use StopReason; TimedOut is kept as an alias for
-	// callers of the original deadline-only API.
-	TimedOut bool
 	// Elapsed is the wall-clock enumeration time (graph loading excluded,
 	// as in §IV-A).
 	Elapsed time.Duration
@@ -562,7 +557,6 @@ func Enumerate(g *graph.Bipartite, opts Options) (Result, error) {
 	} else {
 		res, err = enumerateSerial(g, opts, shared)
 	}
-	res.TimedOut = res.StopReason == StopDeadline
 	res.Elapsed = time.Since(start)
 	opts.Obs.Finish(res.StopReason.String())
 	return res, err

@@ -43,7 +43,7 @@ func TestCalibration(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%-6s |U|=%-7d |V|=%-7d |E|=%-8d MB=%-10d timedOut=%v elapsed=%v",
-				s.Acronym, st.NU, st.NV, st.Edges, res.Count, res.TimedOut, time.Since(start).Round(time.Millisecond))
+				s.Acronym, st.NU, st.NV, st.Edges, res.Count, res.StopReason == core.StopDeadline, time.Since(start).Round(time.Millisecond))
 		})
 	}
 }

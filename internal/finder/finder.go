@@ -214,7 +214,7 @@ func optimize(g *graph.Bipartite, opts Options, obj objective) (Result, error) {
 		return Result{}, err
 	}
 	out.Explored = res.Count
-	out.TimedOut = res.TimedOut
+	out.TimedOut = res.StopReason == core.StopDeadline
 	return out, nil
 }
 

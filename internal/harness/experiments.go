@@ -46,7 +46,7 @@ func Table1(cfg Config) error {
 			return err
 		}
 		count := strconv.FormatInt(r.Count, 10)
-		if r.TimedOut {
+		if r.StopReason == core.StopDeadline {
 			count = "≥" + count
 		}
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%s\t%d\t%s\n",
@@ -54,7 +54,7 @@ func Table1(cfg Config) error {
 		rows = append(rows, []string{
 			s.Acronym, strconv.Itoa(st.NU), strconv.Itoa(st.NV),
 			strconv.FormatInt(st.Edges, 10), strconv.FormatInt(r.Count, 10),
-			strconv.FormatInt(s.PaperMB, 10), strconv.FormatBool(r.TimedOut),
+			strconv.FormatInt(s.PaperMB, 10), strconv.FormatBool(r.StopReason == core.StopDeadline),
 		})
 	}
 	if err := w.Flush(); err != nil {
@@ -178,7 +178,7 @@ func Fig8(cfg Config) error {
 			line += fmt.Sprintf("\t%s|%s", fmtRun(r), fmtMB(r.PeakHeap))
 			rows = append(rows, []string{
 				s.Acronym, a.String(), fmt.Sprintf("%.3f", r.Elapsed.Seconds()),
-				strconv.FormatBool(r.TimedOut), fmtMB(r.PeakHeap), strconv.FormatInt(r.Count, 10),
+				strconv.FormatBool(r.StopReason == core.StopDeadline), fmtMB(r.PeakHeap), strconv.FormatInt(r.Count, 10),
 			})
 		}
 		fmt.Fprintln(w, line)
@@ -212,10 +212,10 @@ func Fig9(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%v\n", s.Acronym, a, fmtRun(r), r.Count, r.TimedOut)
+			fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%v\n", s.Acronym, a, fmtRun(r), r.Count, r.StopReason == core.StopDeadline)
 			rows = append(rows, []string{
 				s.Acronym, a.String(), fmt.Sprintf("%.3f", r.Elapsed.Seconds()),
-				strconv.FormatInt(r.Count, 10), strconv.FormatBool(r.TimedOut),
+				strconv.FormatInt(r.Count, 10), strconv.FormatBool(r.StopReason == core.StopDeadline),
 			})
 		}
 	}
@@ -297,7 +297,7 @@ func Fig11(cfg Config) error {
 					Variant: core.BIT, Tau: tau, Deadline: deadline,
 					Context: cfg.ctx(), Metrics: &m, PadBitmaps: pad,
 				})
-				return time.Since(start), res.TimedOut, m.BitmapsCreated, err
+				return time.Since(start), res.StopReason == core.StopDeadline, m.BitmapsCreated, err
 			}
 			padEl, padTLE, bitmaps, err := run(true)
 			if err != nil {
@@ -357,7 +357,7 @@ func Fig12(cfg Config) error {
 			}
 			el := time.Since(start)
 			tag := fmtDur(el)
-			if res.TimedOut {
+			if res.StopReason == core.StopDeadline {
 				tag = "TLE(" + tag + ")"
 			}
 			fmt.Fprintf(w, "%s\t%s\t%s\t%d\n", s.Acronym, k, tag, res.Count)
@@ -395,7 +395,7 @@ func Fig13(cfg Config) error {
 			fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%s\n", s.Acronym, g.NumEdges(), r.Count, a, fmtRun(r))
 			rows = append(rows, []string{
 				s.Acronym, strconv.FormatInt(g.NumEdges(), 10), a.String(),
-				fmt.Sprintf("%.3f", r.Elapsed.Seconds()), strconv.FormatBool(r.TimedOut),
+				fmt.Sprintf("%.3f", r.Elapsed.Seconds()), strconv.FormatBool(r.StopReason == core.StopDeadline),
 				strconv.FormatInt(r.Count, 10),
 			})
 		}

@@ -135,7 +135,6 @@ func ExperimentNames() []string {
 type RunResult struct {
 	Count      int64
 	Elapsed    time.Duration
-	TimedOut   bool
 	StopReason core.StopReason
 	PeakHeap   uint64 // bytes, sampled
 }
@@ -169,7 +168,6 @@ func RunAlgorithm(g *graph.Bipartite, id engine.ID, cfg Config, metrics *core.Me
 	return RunResult{
 		Count:      res.Count,
 		Elapsed:    elapsed,
-		TimedOut:   res.TimedOut,
 		StopReason: res.StopReason,
 		PeakHeap:   peak(),
 	}, nil
@@ -232,11 +230,7 @@ func fmtDur(d time.Duration) string {
 
 func fmtRun(r RunResult) string {
 	s := fmtDur(r.Elapsed)
-	reason := r.StopReason
-	if reason == core.StopNone && r.TimedOut { // legacy deadline-only callers
-		reason = core.StopDeadline
-	}
-	switch reason {
+	switch r.StopReason {
 	case core.StopDeadline:
 		s = "TLE(" + s + ")"
 	case core.StopCanceled:

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/engine"
 )
@@ -158,7 +159,7 @@ func TestFmtHelpers(t *testing.T) {
 	if fmtMB(1<<20) != "1.0" {
 		t.Fatalf("fmtMB = %q", fmtMB(1<<20))
 	}
-	r := RunResult{Elapsed: time.Second, TimedOut: true}
+	r := RunResult{Elapsed: time.Second, StopReason: core.StopDeadline}
 	if fmtRun(r) != "TLE(1.00s)" {
 		t.Fatalf("fmtRun = %q", fmtRun(r))
 	}

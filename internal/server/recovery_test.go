@@ -39,7 +39,7 @@ func waitForFile(t *testing.T, path string, timeout time.Duration) {
 func TestRecoveryResumesInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	g := bigGraph()
-	want := directDigest(t, g)
+	want := bigGraphDigest(t)
 
 	d1 := startDaemon(t, server.Config{
 		Dir:             dir,
@@ -98,7 +98,7 @@ func readManifest(dir, jobID string) (server.Manifest, error) {
 func TestRecoveryResumesWithTornCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	g := bigGraph()
-	want := directDigest(t, g)
+	want := bigGraphDigest(t)
 
 	d1 := startDaemon(t, server.Config{Dir: dir, Concurrency: 1, CheckpointEvery: 2 * time.Millisecond})
 	id := d1.submitGraph(g)

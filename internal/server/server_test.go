@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,8 +29,28 @@ func bigGraph() *mbe.Graph { return mbe.GenerateUniform(1, 600, 300, 18000) }
 // the daemon's results must match.
 func directDigest(t *testing.T, g *mbe.Graph) mbe.Digest {
 	t.Helper()
+	d, err := enumerateDigest(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func enumerateDigest(g *mbe.Graph) (mbe.Digest, error) {
 	var d mbe.Digest
-	if _, err := mbe.Enumerate(g, mbe.Options{OnBiclique: d.Observe}); err != nil {
+	_, err := mbe.Enumerate(g, mbe.Options{OnBiclique: d.Observe})
+	return d, err
+}
+
+// bigDigest is bigGraph's reference digest, enumerated once per package
+// run: it takes about 3 s under -race, and more than one test needs it.
+var bigDigest = sync.OnceValues(func() (mbe.Digest, error) { return enumerateDigest(bigGraph()) })
+
+// bigGraphDigest returns bigDigest, failing t if its enumeration failed.
+func bigGraphDigest(t *testing.T) mbe.Digest {
+	t.Helper()
+	d, err := bigDigest()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return d

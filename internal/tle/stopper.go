@@ -83,9 +83,8 @@ type Config struct {
 	MaxMemoryBytes int64
 	// OnPoll, if non-nil, runs at every poll of the stop conditions — the
 	// first Hit, then once per CheckEvery hits, and every Poll — on the
-	// worker's own goroutine. It arms the stopper by itself, so it fires
-	// without a deadline, context or budget. The engines publish their
-	// live counters from it.
+	// worker's own goroutine, whether or not a deadline, context or budget
+	// is set. The engines publish their live counters from it.
 	OnPoll func()
 }
 
@@ -102,13 +101,13 @@ type Stopper struct {
 	at     time.Time
 	budget int64
 	timed  bool
-	armed  bool
 	hits   int
 	reason Reason
 }
 
-// NewStopper builds a worker Stopper. shared may be nil for a standalone
-// serial run with no memory budget; cfg's zero value disables every check.
+// NewStopper builds a worker Stopper over the run's shared stop state,
+// which must not be nil; cfg's zero value adds no stop condition of its
+// own. A zero Stopper is not usable.
 func NewStopper(shared *Shared, cfg Config) Stopper {
 	s := Stopper{
 		shared: shared,
@@ -124,7 +123,6 @@ func NewStopper(shared *Shared, cfg Config) Stopper {
 	if cfg.Context != nil {
 		s.done = cfg.Context.Done()
 	}
-	s.armed = s.timed || s.done != nil || s.budget > 0 || shared != nil || s.onPoll != nil
 	return s
 }
 
@@ -133,9 +131,6 @@ func NewStopper(shared *Shared, cfg Config) Stopper {
 func (s *Stopper) Hit() bool {
 	if s.reason != None {
 		return true
-	}
-	if !s.armed {
-		return false
 	}
 	s.hits++
 	if s.hits < CheckEvery {
@@ -149,11 +144,9 @@ func (s *Stopper) poll() bool {
 	if s.onPoll != nil {
 		s.onPoll()
 	}
-	if s.shared != nil {
-		if r := s.shared.Reason(); r != None {
-			s.reason = r
-			return true
-		}
+	if r := s.shared.Reason(); r != None {
+		s.reason = r
+		return true
 	}
 	if s.done != nil {
 		select {
@@ -167,7 +160,7 @@ func (s *Stopper) poll() bool {
 		s.fail(DeadlineExceeded)
 		return true
 	}
-	if s.budget > 0 && s.shared != nil && s.shared.MemBytes() > s.budget {
+	if s.budget > 0 && s.shared.MemBytes() > s.budget {
 		s.fail(MemoryExceeded)
 		return true
 	}
@@ -183,9 +176,6 @@ func (s *Stopper) Poll() bool {
 	if s.reason != None {
 		return true
 	}
-	if !s.armed {
-		return false
-	}
 	s.hits = 0
 	return s.poll()
 }
@@ -193,9 +183,7 @@ func (s *Stopper) Poll() bool {
 // fail records r locally and publishes it to the run.
 func (s *Stopper) fail(r Reason) {
 	s.reason = r
-	if s.shared != nil {
-		s.shared.Trip(r)
-	}
+	s.shared.Trip(r)
 }
 
 // Fail force-stops the worker outside the Hit cadence (simulated
@@ -209,13 +197,10 @@ func (s *Stopper) Stopped() bool { return s.reason != None }
 func (s *Stopper) Reason() Reason { return s.reason }
 
 // AddMem charges delta bytes of engine-side allocation to the run's gauge
-// (negative deltas release a prior charge). When a budget is armed, the
+// (negative deltas release a prior charge). When a budget is set, the
 // next Hit polls immediately so a blown budget is observed promptly rather
 // than CheckEvery nodes later.
 func (s *Stopper) AddMem(delta int64) {
-	if s.shared == nil {
-		return
-	}
 	s.shared.AddMem(delta)
 	if s.budget > 0 {
 		s.hits = CheckEvery - 1

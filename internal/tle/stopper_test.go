@@ -9,7 +9,7 @@ import (
 func TestStopperZeroConfigNeverStops(t *testing.T) {
 	polls := 0
 	for _, cfg := range []Config{{}, {OnPoll: func() { polls++ }}} {
-		s := NewStopper(nil, cfg)
+		s := NewStopper(&Shared{}, cfg)
 		for i := 0; i < 3*CheckEvery; i++ {
 			if s.Hit() {
 				t.Fatalf("stopper without stop conditions stopped at hit %d", i)
@@ -19,14 +19,14 @@ func TestStopperZeroConfigNeverStops(t *testing.T) {
 			t.Fatalf("stopper without stop conditions: Stopped=%v Reason=%v", s.Stopped(), s.Reason())
 		}
 	}
-	// OnPoll alone arms the stopper: it fires at the usual cadence.
+	// OnPoll fires at the usual cadence with no stop condition set.
 	if polls != 3 {
 		t.Fatalf("OnPoll fired %d times in 3·CheckEvery hits, want 3", polls)
 	}
 }
 
 func TestStopperPreExpiredDeadlineStopsOnFirstHit(t *testing.T) {
-	s := NewStopper(nil, Config{Deadline: time.Now().Add(-time.Hour)})
+	s := NewStopper(&Shared{}, Config{Deadline: time.Now().Add(-time.Hour)})
 	if !s.Hit() {
 		t.Fatal("first Hit did not observe the expired deadline")
 	}
@@ -39,7 +39,7 @@ func TestStopperPreExpiredDeadlineStopsOnFirstHit(t *testing.T) {
 }
 
 func TestFutureDeadlineDoesNotHit(t *testing.T) {
-	s := NewStopper(nil, Config{Deadline: time.Now().Add(time.Hour)})
+	s := NewStopper(&Shared{}, Config{Deadline: time.Now().Add(time.Hour)})
 	for i := 0; i < 3*CheckEvery; i++ {
 		if s.Hit() {
 			t.Fatal("future deadline hit")
@@ -48,7 +48,7 @@ func TestFutureDeadlineDoesNotHit(t *testing.T) {
 }
 
 func TestDeadlineEventuallyHits(t *testing.T) {
-	s := NewStopper(nil, Config{Deadline: time.Now().Add(20 * time.Millisecond)})
+	s := NewStopper(&Shared{}, Config{Deadline: time.Now().Add(20 * time.Millisecond)})
 	deadline := time.Now().Add(5 * time.Second)
 	for !s.Hit() {
 		if time.Now().After(deadline) {
@@ -66,7 +66,7 @@ func TestDeadlineEventuallyHits(t *testing.T) {
 // false even after the wall clock passes the deadline.
 func TestAmortizedPolling(t *testing.T) {
 	polls := 0
-	s := NewStopper(nil, Config{
+	s := NewStopper(&Shared{}, Config{
 		Deadline: time.Now().Add(50 * time.Millisecond),
 		OnPoll:   func() { polls++ },
 	})
@@ -124,7 +124,7 @@ func TestStopperPreCanceledContextStopsOnFirstHit(t *testing.T) {
 
 func TestStopperContextCancelObservedWithinOneQuantum(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := NewStopper(nil, Config{Context: ctx})
+	s := NewStopper(&Shared{}, Config{Context: ctx})
 	if s.Hit() { // first poll: context live
 		t.Fatal("stopped before cancel")
 	}
@@ -194,7 +194,7 @@ func TestStopperObservesSiblingTrip(t *testing.T) {
 }
 
 func TestStopperFailIsSticky(t *testing.T) {
-	s := NewStopper(nil, Config{})
+	s := NewStopper(&Shared{}, Config{})
 	s.Fail(MemoryExceeded)
 	if !s.Stopped() || !s.Hit() || s.Reason() != MemoryExceeded {
 		t.Fatalf("Fail not sticky: Stopped=%v Reason=%v", s.Stopped(), s.Reason())
@@ -203,7 +203,7 @@ func TestStopperFailIsSticky(t *testing.T) {
 
 func TestPollBypassesAmortization(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := NewStopper(nil, Config{Context: ctx})
+	s := NewStopper(&Shared{}, Config{Context: ctx})
 	if s.Hit() { // consumes the initial immediate poll
 		t.Fatal("stopped before cancel")
 	}
@@ -217,10 +217,6 @@ func TestPollBypassesAmortization(t *testing.T) {
 	}
 	if !s.Poll() {
 		t.Fatal("Poll must stay stopped")
-	}
-	unarmed := NewStopper(nil, Config{})
-	if unarmed.Poll() {
-		t.Fatal("unarmed Poll stopped")
 	}
 }
 

@@ -43,9 +43,6 @@ func TestStopReasonAllAlgorithms(t *testing.T) {
 			if res.StopReason != mbe.StopDeadline {
 				t.Fatalf("%s: StopReason = %v, want StopDeadline", a, res.StopReason)
 			}
-			if !res.TimedOut {
-				t.Fatalf("%s: deprecated TimedOut not mirrored", a)
-			}
 			if res.Count != 0 {
 				t.Fatalf("%s: pre-expired deadline emitted %d bicliques", a, res.Count)
 			}
@@ -64,9 +61,6 @@ func TestStopReasonAllAlgorithms(t *testing.T) {
 			}
 			if res.StopReason != mbe.StopCanceled {
 				t.Fatalf("%s: StopReason = %v, want StopCanceled", a, res.StopReason)
-			}
-			if res.TimedOut {
-				t.Fatalf("%s: TimedOut set on cancellation", a)
 			}
 			if res.Count != 0 {
 				t.Fatalf("%s: pre-canceled run emitted %d bicliques", a, res.Count)

@@ -167,8 +167,8 @@ func TestDeadlineThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.TimedOut {
-		t.Fatal("expired deadline not reported")
+	if res.StopReason != mbe.StopDeadline {
+		t.Fatalf("expired deadline not reported: StopReason = %v", res.StopReason)
 	}
 }
 
