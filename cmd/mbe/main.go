@@ -28,6 +28,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -45,6 +46,10 @@ import (
 	"repro/internal/obs"
 	"repro/internal/spool"
 )
+
+// stdoutBufferBytes sizes the buffer -print and `mbe cat` write their
+// biclique lines through.
+const stdoutBufferBytes = 64 << 10
 
 func main() {
 	// Subcommands dispatch on the bare first argument, before the flag
@@ -169,9 +174,12 @@ func main() {
 		}
 		opts.StartRoot, opts.EndRoot = start, end
 	}
+	// One buffer for the biclique lines: unbuffered, each would cost a
+	// write(2). The handler is serialized, so it needs no lock.
+	lines := bufio.NewWriterSize(os.Stdout, stdoutBufferBytes)
 	if *print {
 		opts.OnBiclique = func(L, R []int32) {
-			fmt.Printf("L=%v R=%v\n", L, R)
+			fmt.Fprintf(lines, "L=%v R=%v\n", L, R)
 		}
 	}
 	var runDigest mbe.Digest
@@ -188,6 +196,12 @@ func main() {
 
 	res, err := mbe.Enumerate(g, opts)
 	finishObs()
+	// Before any exit: an interrupted or timed-out run still prints its
+	// partial output.
+	if ferr := lines.Flush(); ferr != nil {
+		fmt.Fprintln(os.Stderr, "mbe:", ferr)
+		os.Exit(1)
+	}
 	if err != nil && !errors.Is(err, mbe.ErrPanic) {
 		fmt.Fprintln(os.Stderr, "mbe:", err)
 		os.Exit(1)
@@ -250,9 +264,14 @@ func runCat(args []string) {
 		fmt.Println(d)
 		return
 	}
+	lines := bufio.NewWriterSize(os.Stdout, stdoutBufferBytes)
 	n, err := mbe.ReadSpool(dir, func(L, R []int32) {
-		fmt.Printf("L=%v R=%v\n", L, R)
+		fmt.Fprintf(lines, "L=%v R=%v\n", L, R)
 	})
+	if ferr := lines.Flush(); ferr != nil {
+		fmt.Fprintln(os.Stderr, "mbe cat:", ferr)
+		os.Exit(1)
+	}
 	if err != nil {
 		// The valid prefix was already printed; report the torn tail.
 		fmt.Fprintf(os.Stderr, "mbe cat: %v (%d valid records printed)\n", err, n)

@@ -19,7 +19,10 @@ func sessionMeta() spool.Meta {
 func replayRoots(t *testing.T, dir string) map[int32]int {
 	t.Helper()
 	got := map[int32]int{}
-	states, err := spool.Replay(dir, func(root int32, L, R []int32) { got[root]++ })
+	states, err := spool.Replay(dir, func(root int32, L, R []int32) error {
+		got[root]++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +262,10 @@ func TestSessionSinkPermutation(t *testing.T) {
 	}
 	var gotRoot int32 = -1
 	var gotR []int32
-	states, err := spool.Replay(dir, func(root int32, L, R []int32) {
+	states, err := spool.Replay(dir, func(root int32, L, R []int32) error {
 		gotRoot = root
 		gotR = append([]int32(nil), R...)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

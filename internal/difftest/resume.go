@@ -110,7 +110,10 @@ func runSpooledOnce(g *graph.Bipartite, c Config, dir string, resume bool, cance
 // of silently truncated output is not comparable.
 func SpoolDigest(dir string) (Digest, error) {
 	var d Digest
-	states, err := spool.Replay(dir, func(_ int32, L, R []int32) { d.Observe(L, R) })
+	states, err := spool.Replay(dir, func(_ int32, L, R []int32) error {
+		d.Observe(L, R)
+		return nil
+	})
 	if err != nil {
 		return d, err
 	}

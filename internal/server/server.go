@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -449,11 +450,10 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobStatus{Manifest: j.manifest(), Progress: j.snapshot()})
 }
 
-// resultRecord is one NDJSON line of GET /v1/jobs/{id}/results.
-type resultRecord struct {
-	L []int32 `json:"l"`
-	R []int32 `json:"r"`
-}
+// resultWriteBytes is how much of a result stream the handler gathers
+// before it hands the bytes to the ResponseWriter in one Write and
+// flushes them to the client.
+const resultWriteBytes = 64 << 10
 
 func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
@@ -475,21 +475,63 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	lines := 0
-	_, err := mbe.ReadSpool(dir, func(L, R []int32) {
-		_ = enc.Encode(resultRecord{L: L, R: R})
-		if lines++; lines%4096 == 0 && flusher != nil {
+	// The slack holds the line that carries buf past resultWriteBytes.
+	buf := make([]byte, 0, resultWriteBytes+4096)
+	// A failed Write means the client has gone: the error stops the
+	// replay, and nothing is logged for it.
+	var writeErr error
+	states, err := spool.Replay(dir, func(_ int32, L, R []int32) error {
+		buf = appendResultLine(buf, L, R)
+		if len(buf) < resultWriteBytes {
+			return nil
+		}
+		if _, writeErr = w.Write(buf); writeErr != nil {
+			return writeErr
+		}
+		buf = buf[:0]
+		if flusher != nil {
 			flusher.Flush()
 		}
+		return nil
 	})
-	if err != nil && !partial {
+	if writeErr == nil && len(buf) > 0 {
+		_, writeErr = w.Write(buf)
+	}
+	if err == nil {
+		err = spool.Clean(states)
+	}
+	if writeErr == nil && err != nil && !partial {
 		// A done job must replay cleanly; a torn tail mid-stream can
 		// only be signaled by cutting the response short.
 		s.log.Error("result_stream_error",
 			"trace_id", m.TraceID, "job_id", m.ID, "err", err)
 	}
+}
+
+// appendResultLine appends one NDJSON line of GET /v1/jobs/{id}/results
+// to b: {"l":[…],"r":[…]} and a newline, the bytes json.Encoder writes
+// for a struct with those two int32 slice fields. Only a nil side would
+// differ (encoding/json writes null), and a spool yields none: it
+// stores no empty side.
+func appendResultLine(b []byte, L, R []int32) []byte {
+	b = append(b, `{"l":`...)
+	b = appendIDs(b, L)
+	b = append(b, `,"r":`...)
+	b = appendIDs(b, R)
+	return append(b, "}\n"...)
+}
+
+// appendIDs appends ids as a JSON array without spaces.
+func appendIDs(b []byte, ids []int32) []byte {
+	b = append(b, '[')
+	for i, v := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {

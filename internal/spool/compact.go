@@ -56,10 +56,11 @@ func compactShard(dir string, idx int, meta Meta, keep func(int32) bool) error {
 
 	bw := bufio.NewWriterSize(tmp, 1<<20)
 	enc := newFrameEncoder(bw, meta.Compress, meta.FrameBytes)
-	_, err = replayShard(dir, idx, func(root int32, L, R []int32) {
+	_, err = replayShard(dir, idx, func(root int32, L, R []int32) error {
 		if keep == nil || keep(root) {
 			enc.add(root, L, R)
 		}
+		return nil
 	})
 	if err != nil {
 		return abort(err)

@@ -52,7 +52,7 @@ func FuzzSpoolFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var records int64
-		frames, nrec, valid, _, ioErr := scanFrames(bufio.NewReader(bytes.NewReader(data)), func(root int32, L, R []int32) {
+		frames, nrec, valid, _, ioErr := scanFrames(bufio.NewReader(bytes.NewReader(data)), func(root int32, L, R []int32) error {
 			records++
 			if len(L) == 0 || len(R) == 0 {
 				t.Fatalf("empty side delivered: L=%v R=%v", L, R)
@@ -60,6 +60,7 @@ func FuzzSpoolFrame(f *testing.F) {
 			if !slices.IsSorted(L) || !slices.IsSorted(R) {
 				t.Fatalf("unsorted side delivered: L=%v R=%v", L, R)
 			}
+			return nil
 		})
 		if ioErr != nil {
 			t.Fatalf("bytes.Reader cannot fail, got I/O error %v", ioErr)

@@ -51,9 +51,11 @@ type ShardState struct {
 // (shard order, frame order within a shard; fn may be nil to only
 // verify). Format corruption is not an error — it is reported in the
 // shard's Tail and scanning of that shard stops at the last good
-// frame. The error return is reserved for I/O failures and a missing
-// or malformed meta file.
-func Replay(dir string, fn func(root int32, L, R []int32)) ([]ShardState, error) {
+// frame. The error return is reserved for I/O failures, a missing or
+// malformed meta file, and fn's own errors: the first non-nil error fn
+// returns stops the replay at once, no record is delivered after it,
+// and Replay returns it unchanged (as filepath.WalkDir does).
+func Replay(dir string, fn func(root int32, L, R []int32) error) ([]ShardState, error) {
 	meta, err := LoadMeta(dir)
 	if err != nil {
 		return nil, err
@@ -85,7 +87,7 @@ func Clean(states []ShardState) error {
 	return nil
 }
 
-func replayShard(dir string, idx int, fn func(root int32, L, R []int32)) (ShardState, error) {
+func replayShard(dir string, idx int, fn func(root int32, L, R []int32) error) (ShardState, error) {
 	st := ShardState{Index: idx, Path: filepath.Join(dir, ShardName(idx))}
 	f, err := os.Open(st.Path)
 	if err != nil {
@@ -113,23 +115,26 @@ func replayShard(dir string, idx int, fn func(root int32, L, R []int32)) (ShardS
 // scanFrames walks a frame sequence, streaming records to fn (which may
 // be nil). It returns the frame/record counts and byte length of the
 // valid prefix, a tail error describing why scanning stopped short (nil
-// for a clean end), and an I/O error for real read failures.
+// for a clean end), and an I/O error for real read failures or the
+// first error fn returned, which stops the scan.
 //
 // This is the function the fuzz target drives: for arbitrary input it
 // must never panic and never allocate beyond the frame bound.
-func scanFrames(br *bufio.Reader, fn func(root int32, L, R []int32)) (frames, records, validBytes int64, tailErr, ioErr error) {
+func scanFrames(br *bufio.Reader, fn func(root int32, L, R []int32) error) (frames, records, validBytes int64, tailErr, ioErr error) {
 	var (
 		hdr     [frameHeaderSize]byte
 		stored  []byte
 		raw     []byte
 		l, r    []int32
 		flateRd io.ReadCloser
+		fnErr   error
 	)
-	emit := func(root int32, L, R []int32) {
+	emit := func(root int32, L, R []int32) error {
 		records++
 		if fn != nil {
-			fn(root, L, R)
+			fnErr = fn(root, L, R)
 		}
+		return fnErr
 	}
 	for {
 		if _, err := io.ReadFull(br, hdr[:1]); err != nil {
@@ -182,6 +187,9 @@ func scanFrames(br *bufio.Reader, fn func(root int32, L, R []int32)) (frames, re
 		}
 		var err error
 		l, r, err = decodePayload(payload, l, r, emit)
+		if fnErr != nil {
+			return frames, records, validBytes, nil, fnErr
+		}
 		if err != nil {
 			return frames, records, validBytes, err, nil
 		}

@@ -242,12 +242,13 @@ var (
 )
 
 // decodePayload streams every record of a decompressed frame payload to
-// fn. The l/r scratch slices are reused across calls and returned (the
-// caller threads them through). Allocation is bounded: a side's declared
+// fn, stopping at the first error fn returns and returning it. The l/r
+// scratch slices are reused across calls and returned (the caller
+// threads them through). Allocation is bounded: a side's declared
 // length is validated against the bytes remaining in the payload (every
 // encoded id costs ≥ 1 byte) before anything is allocated, so a corrupt
 // or adversarial length field cannot force an over-allocation.
-func decodePayload(p []byte, l, r []int32, fn func(root int32, L, R []int32)) ([]int32, []int32, error) {
+func decodePayload(p []byte, l, r []int32, fn func(root int32, L, R []int32) error) ([]int32, []int32, error) {
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count > uint64(len(p)) {
 		return l, r, errBadPayload
@@ -283,7 +284,9 @@ func decodePayload(p []byte, l, r []int32, fn func(root int32, L, R []int32)) ([
 		if r, err = decodeSide(r, int(lenR), &p); err != nil {
 			return l, r, err
 		}
-		fn(root, l, r)
+		if err := fn(root, l, r); err != nil {
+			return l, r, err
+		}
 	}
 	if len(p) != 0 {
 		return l, r, errBadPayload

@@ -1,6 +1,7 @@
 package spool
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,8 +27,9 @@ type rec struct {
 func collect(t *testing.T, dir string) ([]rec, []ShardState) {
 	t.Helper()
 	var out []rec
-	states, err := Replay(dir, func(root int32, L, R []int32) {
+	states, err := Replay(dir, func(root int32, L, R []int32) error {
 		out = append(out, rec{root, append([]int32(nil), L...), append([]int32(nil), R...)})
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
@@ -122,6 +124,56 @@ func TestFrameRotation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplayStopsAtCallbackError checks that the first error the
+// callback returns ends the replay at once, wherever the record falls:
+// inside a frame, at a frame or shard boundary, or last.
+func TestReplayStopsAtCallbackError(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir, testMeta(2, true), WriterOptions{TargetFrameBytes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perShard = 100
+	for worker := 0; worker < 2; worker++ {
+		for i := int32(0); i < perShard; i++ {
+			w.Emit(worker, i/7, []int32{i, i + 10}, []int32{int32(worker), i + 100})
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	all, states := collect(t, dir)
+	if len(all) != 2*perShard || states[0].Frames < 10 || states[1].Frames < 10 {
+		t.Fatalf("fixture: %d records over %d+%d frames, want %d over many frames",
+			len(all), states[0].Frames, states[1].Frames, 2*perShard)
+	}
+
+	stop := errors.New("stop")
+	for _, k := range []int{1, 2, 3, 50, perShard, perShard + 1, 150, 2 * perShard} {
+		var got []rec
+		_, err := Replay(dir, func(root int32, L, R []int32) error {
+			got = append(got, rec{root, append([]int32(nil), L...), append([]int32(nil), R...)})
+			if len(got) == k {
+				return stop
+			}
+			return nil
+		})
+		if !errors.Is(err, stop) {
+			t.Errorf("k=%d: Replay returned %v, want the callback's error", k, err)
+		}
+		if len(got) != k {
+			t.Errorf("k=%d: callback saw %d records", k, len(got))
+			continue
+		}
+		for i, r := range got {
+			if r.root != all[i].root || !eqSlice(r.L, all[i].L) || !eqSlice(r.R, all[i].R) {
+				t.Errorf("k=%d: record %d = %+v, want %+v", k, i, r, all[i])
+				break
+			}
+		}
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 // returned error then describes the first corruption. An interrupted
 // run's spool therefore reads cleanly up to exactly what was durable.
 func ReadSpool(dir string, fn Handler) (int64, error) {
-	var wrapped func(root int32, L, R []int32)
+	var wrapped func(root int32, L, R []int32) error
 	if fn != nil {
-		wrapped = func(_ int32, L, R []int32) { fn(L, R) }
+		wrapped = func(_ int32, L, R []int32) error {
+			fn(L, R)
+			return nil
+		}
 	}
 	states, err := spool.Replay(dir, wrapped)
 	if err != nil {
