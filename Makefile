@@ -27,7 +27,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path kernel micro-benches only: the batched packed-mask kernels at
-# word widths 1/2/4 (batched vs per-vertex, fused vs two-pass), the
+# word widths 2/4 (batched vs per-vertex, fused vs two-pass), the
 # gallop-vs-merge intersection sweep and the two-hop suffix ordering's
 # scan-vs-sort crossover. CI runs the same set once each with
 # KERNEL_BENCHTIME=1x.

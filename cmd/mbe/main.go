@@ -47,9 +47,45 @@ import (
 	"repro/internal/spool"
 )
 
-// stdoutBufferBytes sizes the buffer -print and `mbe cat` write their
-// biclique lines through.
+// stdoutBufferBytes sizes the buffer -print, -minl/-minr and `mbe cat`
+// write their biclique lines through.
 const stdoutBufferBytes = 64 << 10
+
+// lineWriter writes biclique lines to stdout through one buffer:
+// unbuffered, each line would cost a write(2). Its callers are
+// serialized, so it needs no lock.
+type lineWriter struct{ *bufio.Writer }
+
+func newLineWriter() lineWriter {
+	return lineWriter{bufio.NewWriterSize(os.Stdout, stdoutBufferBytes)}
+}
+
+// emit writes one biclique line, appended in place in the buffer.
+func (w lineWriter) emit(L, R []int32) {
+	w.Write(appendLine(w.AvailableBuffer(), L, R))
+}
+
+// appendLine appends one biclique in the -print format: the bytes
+// fmt's "L=%v R=%v\n" writes for it, without fmt's reflection.
+func appendLine(b []byte, L, R []int32) []byte {
+	b = append(b, "L="...)
+	b = appendIDs(b, L)
+	b = append(b, " R="...)
+	b = appendIDs(b, R)
+	return append(b, '\n')
+}
+
+// appendIDs appends ids as %v prints a slice: bracketed, space-separated.
+func appendIDs(b []byte, ids []int32) []byte {
+	b = append(b, '[')
+	for i, v := range ids {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
+}
 
 func main() {
 	// Subcommands dispatch on the bare first argument, before the flag
@@ -174,13 +210,9 @@ func main() {
 		}
 		opts.StartRoot, opts.EndRoot = start, end
 	}
-	// One buffer for the biclique lines: unbuffered, each would cost a
-	// write(2). The handler is serialized, so it needs no lock.
-	lines := bufio.NewWriterSize(os.Stdout, stdoutBufferBytes)
+	lines := newLineWriter()
 	if *print {
-		opts.OnBiclique = func(L, R []int32) {
-			fmt.Fprintf(lines, "L=%v R=%v\n", L, R)
-		}
+		opts.OnBiclique = lines.emit
 	}
 	var runDigest mbe.Digest
 	if *digestOut {
@@ -264,10 +296,8 @@ func runCat(args []string) {
 		fmt.Println(d)
 		return
 	}
-	lines := bufio.NewWriterSize(os.Stdout, stdoutBufferBytes)
-	n, err := mbe.ReadSpool(dir, func(L, R []int32) {
-		fmt.Fprintf(lines, "L=%v R=%v\n", L, R)
-	})
+	lines := newLineWriter()
+	n, err := mbe.ReadSpool(dir, lines.emit)
 	if ferr := lines.Flush(); ferr != nil {
 		fmt.Fprintln(os.Stderr, "mbe cat:", ferr)
 		os.Exit(1)
@@ -407,9 +437,11 @@ func runFinder(g *mbe.Graph, find string, query, minL, minR, threads, tau int, t
 		if minL < 1 || minR < 1 {
 			return fmt.Errorf("-minl and -minr must both be ≥ 1")
 		}
-		n, err := mbe.EnumerateSizeBounded(g, minL, minR, func(L, R []int32) {
-			fmt.Printf("L=%v R=%v\n", L, R)
-		}, fo)
+		lines := newLineWriter()
+		n, err := mbe.EnumerateSizeBounded(g, minL, minR, lines.emit, fo)
+		if ferr := lines.Flush(); err == nil {
+			err = ferr
+		}
 		if err != nil {
 			return err
 		}

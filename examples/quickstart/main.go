@@ -1,5 +1,7 @@
 // Quickstart: build a small bipartite graph, enumerate its maximal
-// bicliques with AdaMBE, and print them.
+// bicliques with AdaMBE, and print them; then count a bigger graph's with
+// ParAdaMBE. It ends in a self-check and exits non-zero when a count is
+// wrong.
 //
 //	go run ./examples/quickstart
 package main
@@ -45,6 +47,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%d maximal bicliques in %v\n", res.Count, res.Elapsed)
+	if res.Count != 9 || found != 9 {
+		log.Fatalf("Figure 1 has 9 maximal bicliques; counted %d, delivered %d", res.Count, found)
+	}
 
 	// The same count, in parallel, on a bigger synthetic graph.
 	big := mbe.GenerateAffiliation(1, mbe.AffiliationConfig{
@@ -57,4 +62,14 @@ func main() {
 	}
 	fmt.Printf("parallel run: %d maximal bicliques on %s in %v\n",
 		pres.Count, big.Stats(), pres.Elapsed)
+
+	// Every algorithm enumerates the same bicliques: a serial run must
+	// count as many.
+	sres, err := mbe.Enumerate(big, mbe.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if sres.Count != pres.Count {
+		log.Fatalf("serial AdaMBE counted %d maximal bicliques, ParAdaMBE %d", sres.Count, pres.Count)
+	}
 }

@@ -25,12 +25,14 @@ package baselines
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/order"
 	"repro/internal/tle"
+	"repro/internal/vset"
 )
 
 // Algorithm names a competitor implementation.
@@ -127,4 +129,48 @@ func Run(g *graph.Bipartite, alg Algorithm, opts core.Options) (core.Result, err
 	}
 	res.Elapsed = time.Since(start)
 	return res, err
+}
+
+// worker is the per-goroutine state every baseline engine starts from: a
+// stopper over the run's shared state, an id slab and a two-hop gatherer,
+// both charged to the run's memory gauge, and the handler it reports each
+// biclique to.
+type worker struct {
+	g       *graph.Bipartite
+	handler core.Handler
+	stop    tle.Stopper
+	ids     vset.Slab[int32]
+	th      *twoHop
+	count   int64
+}
+
+// init readies w for one goroutine of a run of opts over g, charging the
+// two-hop tables and extra bytes of the engine's own fixed footprint.
+func (w *worker) init(g *graph.Bipartite, opts *core.Options, shared *tle.Shared, extra int64) {
+	w.g, w.handler, w.th = g, opts.OnBiclique, newTwoHop(g)
+	w.stop = tle.NewStopper(shared, opts.StopConfig())
+	w.ids.OnGrow = w.stop.AddMem
+	w.stop.AddMem(twoHopBytes(g) + extra)
+}
+
+// emit counts one maximal biclique and hands it to the handler.
+func (w *worker) emit(L, R []int32) {
+	w.count++
+	if w.handler != nil {
+		w.handler(L, R)
+	}
+}
+
+// serialized wraps h so that the workers of a parallel engine call it one
+// at a time; nil stays nil.
+func serialized(h core.Handler) core.Handler {
+	if h == nil {
+		return nil
+	}
+	var mu sync.Mutex
+	return func(L, R []int32) {
+		mu.Lock()
+		defer mu.Unlock()
+		h(L, R)
+	}
 }

@@ -34,14 +34,9 @@ import (
 // spool's checkpoint/resume protocol (root-tagged emission, frontier
 // watermark, StartRoot) carry over unchanged.
 type bbkEngine struct {
-	g       *graph.Bipartite
-	handler core.Handler
+	worker
 	sink    core.Sink
-	stop    tle.Stopper
-	hook    func(site string) error
-	count   int64
 	curRoot int32
-	ids     vset.Slab[int32]
 
 	// Local metric counters, flushed into core.Options.Metrics at the end so a
 	// recovered panic still reports what was gathered.
@@ -54,31 +49,13 @@ type bbkEngine struct {
 // bbkGallopFactor matches the core engines' merge-vs-gallop crossover.
 const bbkGallopFactor = 16
 
-// faultStep fires the injection hook at site; a returned error is treated
-// as a failed allocation and degrades the run like a blown memory budget.
-func (e *bbkEngine) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
-}
-
 // runBBK drives the engine under panic isolation, mirroring runMBEA: a
 // panic anywhere in the recursion or a user handler is recovered into an
 // error wrapping core.ErrPanic, with the monotone partial count (and any
 // metrics gathered) still reported.
 func runBBK(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (res core.Result, err error) {
-	e := &bbkEngine{
-		g:       g,
-		handler: opts.OnBiclique,
-		sink:    opts.Sink,
-		hook:    opts.FaultHook,
-	}
-	e.stop = tle.NewStopper(shared, opts.StopConfig())
-	e.ids.OnGrow = e.stop.AddMem
-	e.stop.AddMem(twoHopBytes(g)) // two-hop mark table and ordering bit set
+	e := &bbkEngine{sink: opts.Sink}
+	e.init(g, &opts, shared, 0)
 	defer func() {
 		if m := opts.Metrics; m != nil {
 			m.NodesGenerated += e.nodesGen
@@ -86,23 +63,17 @@ func runBBK(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (res core
 			m.NodesNonMaximal += e.nodesNonMax
 			m.SetIntersections += e.setInts
 		}
-		res = core.Result{Count: e.count, StopReason: core.StopReasonOf(e.stop.Reason())}
-		if r := recover(); r != nil {
-			res.StopReason = core.StopPanic
-			err = core.PanicError("BBK", r)
-		}
+		res.Count = e.count
+		res.StopReason, err = shared.Outcome()
 	}()
-	th := newTwoHop(g)
-	core.NewRootCursor(&opts, g.NV()).Run(&e.stop, func(vp int32) { e.rootNode(vp, th) })
+	defer shared.Recover("BBK")
+	core.NewRootCursor(&opts, g.NV()).Run(&e.stop, e.rootNode)
 	return res, nil
 }
 
 // emit reports one maximal biclique, both sides sorted ascending.
 func (e *bbkEngine) emit(L, R []int32) {
-	e.count++
-	if e.handler != nil {
-		e.handler(L, R)
-	}
+	e.worker.emit(L, R)
 	if e.sink != nil {
 		e.sink.Emit(0, e.curRoot, L, R)
 	}
@@ -131,12 +102,12 @@ func (e *bbkEngine) intersectLen(a, b []int32) int {
 // excluded set seeded from the two-hop prefix (roots already processed),
 // candidates and absorbed vertices from the two-hop suffix — and searches
 // its subtree.
-func (e *bbkEngine) rootNode(vp int32, th *twoHop) {
-	g := e.g
+func (e *bbkEngine) rootNode(vp int32) {
+	g, th := e.g, e.th
 	if e.stop.Hit() || g.DegV(vp) == 0 {
 		return
 	}
-	e.faultStep(SiteBBKNode)
+	e.stop.Fault(SiteBBKNode)
 	e.curRoot = vp
 	mark := e.ids.Mark()
 	defer e.ids.Release(mark)
@@ -197,7 +168,7 @@ func (e *bbkEngine) search(L, R, P, D, X []int32, nx int) {
 		if e.stop.Hit() {
 			return
 		}
-		e.faultStep(SiteBBKNode)
+		e.stop.Fault(SiteBBKNode)
 
 		// Pivot: maximum cached local degree, first occurrence, so runs
 		// are deterministic for a given graph and ordering.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/tle"
-	"repro/internal/vset"
 )
 
 // gmbeOversubscription is how many virtual warps run per requested thread.
@@ -31,26 +30,17 @@ const gmbeOversubscription = 16
 // Not simulated: GPU memory bandwidth and warp-level SIMD; the simulation
 // makes no absolute-speed claims.
 //
-// Lifecycle: each root task runs under panic recovery; a panic trips the
-// run-wide stop state so every warp breaks out of the work loop, and the
-// first panic is reported as the run's error with counts still merged.
+// Lifecycle: each root task runs under panic recovery (tle.Shared.Recover);
+// a panic trips the run-wide stop state so every warp breaks out of the
+// work loop, and the first panic is reported as the run's error with
+// counts still merged.
 func runGMBESim(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core.Result, error) {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	warps := threads * gmbeOversubscription
-
-	handler := opts.OnBiclique
-	if handler != nil {
-		var mu sync.Mutex
-		inner := handler
-		handler = func(L, R []int32) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(L, R)
-		}
-	}
+	opts.OnBiclique = serialized(opts.OnBiclique)
 
 	cand := make([]int32, 0, g.NV())
 	for v := int32(0); v < int32(g.NV()); v++ {
@@ -60,30 +50,21 @@ func runGMBESim(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core
 	}
 
 	var total atomic.Int64
-	var panicOnce sync.Once
-	var panicErr error
 	var next atomic.Int64
 	var wg sync.WaitGroup
 
 	runTask := func(e *gmbeWarp, vp int32) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicOnce.Do(func() { panicErr = core.PanicError("GMBE warp", r) })
-				shared.Trip(tle.Aborted)
-			}
-		}()
-		e.faultStep(SiteGMBETask)
-		if e.stop.Stopped() {
-			return
+		defer shared.Recover("GMBE warp")
+		if !e.stop.Fault(SiteGMBETask) {
+			e.rootTask(vp)
 		}
-		e.rootTask(vp)
 	}
 
 	for w := 0; w < warps; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := newGMBEWarp(g, handler, opts, shared)
+			e := newGMBEWarp(g, &opts, shared)
 			for {
 				i := int(next.Add(1) - 1)
 				// Forced poll at the task boundary: a pre-expired deadline
@@ -99,52 +80,22 @@ func runGMBESim(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core
 	}
 	wg.Wait()
 
-	res := core.Result{Count: total.Load(), StopReason: core.StopReasonOf(shared.Reason())}
-	if panicErr != nil {
-		res.StopReason = core.StopPanic
-		return res, panicErr
-	}
-	return res, nil
+	reason, err := shared.Outcome()
+	return core.Result{Count: total.Load(), StopReason: reason}, err
 }
 
 // gmbeWarp is one virtual warp with its pre-allocated workspace.
 type gmbeWarp struct {
-	g       *graph.Bipartite
-	handler core.Handler
-	stop    tle.Stopper
-	hook    func(site string) error
-	count   int64
-
+	worker
 	lBits *bitset.Set // |U|-bit membership bitmap for the current L
-	ids   vset.Slab[int32]
-	th    *twoHop
 }
 
-// faultStep fires the injection hook at site; an error degrades the run
-// like a blown memory budget.
-func (e *gmbeWarp) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
-}
-
-func newGMBEWarp(g *graph.Bipartite, handler core.Handler, opts core.Options, shared *tle.Shared) *gmbeWarp {
-	w := &gmbeWarp{
-		g:       g,
-		handler: handler,
-		hook:    opts.FaultHook,
-		lBits:   bitset.New(g.NU()),
-		th:      newTwoHop(g),
-	}
-	w.stop = tle.NewStopper(shared, opts.StopConfig())
-	w.ids.OnGrow = w.stop.AddMem
+func newGMBEWarp(g *graph.Bipartite, opts *core.Options, shared *tle.Shared) *gmbeWarp {
+	w := &gmbeWarp{lBits: bitset.New(g.NU())}
 	// The bitmap and the two-hop tables are part of each warp's
 	// pre-allocated footprint; slab reservations below are charged through
 	// OnGrow.
-	w.stop.AddMem(int64(g.NU())/8 + twoHopBytes(g))
+	w.init(g, opts, shared, int64(g.NU())/8)
 	// GMBE pre-allocates each thread's worst-case node storage up front;
 	// mirror that by reserving slab space for the widest possible node
 	// (candidates + excluded + R all bounded by |V|, L by Δ(V)).
@@ -237,17 +188,14 @@ func (e *gmbeWarp) search(L, R, P, Q []int32, pending []int32) {
 			np++
 		}
 	}
-	e.count++
-	if e.handler != nil {
-		e.handler(L, rq[:nr])
-	}
+	e.emit(L, rq[:nr])
 
 	// Expand children: traverse each remaining candidate.
 	for i := 0; i < np; i++ {
 		if e.stop.Hit() {
 			return
 		}
-		e.faultStep(SiteGMBETask)
+		e.stop.Fault(SiteGMBETask)
 		vp := pq[i]
 		cmark := e.ids.Mark()
 		lq := e.ids.Alloc(len(L))

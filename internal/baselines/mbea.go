@@ -28,42 +28,21 @@ type mbeaConfig struct {
 // backtracking with an explicit excluded set Q for the maximality check,
 // all set intersections against global adjacency.
 type mbeaEngine struct {
-	g       *graph.Bipartite
-	cfg     mbeaConfig
-	handler core.Handler
-	stop    tle.Stopper
-	hook    func(site string) error
-	count   int64
-	ids     vset.Slab[int32]
-}
-
-// faultStep fires the injection hook at site; a returned error is treated
-// as a failed allocation and degrades the run like a blown memory budget.
-func (e *mbeaEngine) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
+	worker
+	cfg mbeaConfig
 }
 
 // runMBEA drives the serial skeleton under panic isolation: a panic
 // anywhere in the recursion or a user handler is recovered into an error
 // wrapping core.ErrPanic, with the count gathered so far still reported.
 func runMBEA(g *graph.Bipartite, cfg mbeaConfig, opts core.Options, shared *tle.Shared) (res core.Result, err error) {
-	e := &mbeaEngine{g: g, cfg: cfg, handler: opts.OnBiclique, hook: opts.FaultHook}
-	e.stop = tle.NewStopper(shared, opts.StopConfig())
-	e.ids.OnGrow = e.stop.AddMem
-	e.stop.AddMem(twoHopBytes(g)) // two-hop mark table and ordering bit set
+	e := &mbeaEngine{cfg: cfg}
+	e.init(g, &opts, shared, 0)
 	defer func() {
-		res = core.Result{Count: e.count, StopReason: core.StopReasonOf(e.stop.Reason())}
-		if r := recover(); r != nil {
-			res.StopReason = core.StopPanic
-			err = core.PanicError("serial baseline", r)
-		}
+		res.Count = e.count
+		res.StopReason, err = shared.Outcome()
 	}()
-	th := newTwoHop(g)
+	defer shared.Recover("serial baseline")
 	for vp := int32(0); vp < int32(g.NV()); vp++ {
 		if g.DegV(vp) == 0 {
 			continue
@@ -71,16 +50,16 @@ func runMBEA(g *graph.Bipartite, cfg mbeaConfig, opts core.Options, shared *tle.
 		if e.stop.Hit() {
 			break
 		}
-		e.faultStep(SiteSerialNode)
+		e.stop.Fault(SiteSerialNode)
 		lq := g.NeighborsOfV(vp) // L' = U ∩ N(v')
-		th.gather(vp, lq)
+		e.th.gather(vp, lq)
 
 		// Maximality of the first-level node against the traversed prefix.
 		maximal := true
 		mark := e.ids.Mark()
-		qNew := e.ids.Alloc(len(th.prefix))
+		qNew := e.ids.Alloc(len(e.th.prefix))
 		nq := 0
-		for _, x := range th.prefix {
+		for _, x := range e.th.prefix {
 			m := vset.IntersectLen(lq, g.NeighborsOfV(x))
 			if m == len(lq) {
 				maximal = false
@@ -92,12 +71,12 @@ func runMBEA(g *graph.Bipartite, cfg mbeaConfig, opts core.Options, shared *tle.
 			}
 		}
 		if maximal {
-			rq := e.ids.Alloc(1 + len(th.suffix))
+			rq := e.ids.Alloc(1 + len(e.th.suffix))
 			rq[0] = vp
 			nr := 1
-			pq := e.ids.Alloc(len(th.suffix))
+			pq := e.ids.Alloc(len(e.th.suffix))
 			np := 0
-			for _, vc := range th.suffix {
+			for _, vc := range e.th.suffix {
 				m := vset.IntersectLen(lq, g.NeighborsOfV(vc))
 				if m == len(lq) {
 					rq[nr] = vc
@@ -107,10 +86,7 @@ func runMBEA(g *graph.Bipartite, cfg mbeaConfig, opts core.Options, shared *tle.
 					np++
 				}
 			}
-			e.count++
-			if e.handler != nil {
-				e.handler(lq, rq[:nr])
-			}
+			e.emit(lq, rq[:nr])
 			if np > 0 {
 				e.search(lq, rq[:nr], pq[:np], qNew[:nq])
 			}
@@ -142,7 +118,7 @@ func (e *mbeaEngine) search(L, R, P, Q []int32) {
 		if e.stop.Hit() {
 			return
 		}
-		e.faultStep(SiteSerialNode)
+		e.stop.Fault(SiteSerialNode)
 		vp := P[i]
 		mark := e.ids.Mark()
 
@@ -207,10 +183,7 @@ func (e *mbeaEngine) search(L, R, P, Q []int32) {
 					np++
 				}
 			}
-			e.count++
-			if e.handler != nil {
-				e.handler(lq, rq[:nr])
-			}
+			e.emit(lq, rq[:nr])
 			if np > 0 {
 				e.search(lq, rq[:nr], pq[:np], qNew[:nq])
 			}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sched"
 	"repro/internal/tle"
-	"repro/internal/vset"
 )
 
 // runParMBE is the ParMBE-style parallel competitor: the graph is held in a
@@ -20,10 +19,10 @@ import (
 // oldest tasks of its siblings. There is no intra-subtree splitting, which
 // is why its scalability trails ParAdaMBE on skewed datasets (Fig. 14).
 //
-// Lifecycle: each task runs under panic recovery. A panicking task trips
-// the run-wide stop state (tle.Aborted); the worker that caught it keeps
-// draining the pool (tasks after a trip are skipped by the boundary poll)
-// so every goroutine exits. The first panic becomes the run's error;
+// Lifecycle: each task runs under panic recovery (tle.Shared.Recover). A
+// panicking task trips the run-wide stop state; the worker that caught it
+// keeps draining the pool (tasks after a trip are skipped by the boundary
+// poll) so every goroutine exits. The first panic becomes the run's error;
 // per-worker counts are merged regardless, so partial results stay
 // monotone.
 func runParMBE(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core.Result, error) {
@@ -53,21 +52,9 @@ func runParMBE(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core.
 		repBytes += 48 + 16*int64(g.DegV(v))
 	}
 	shared.AddMem(repBytes)
-
-	handler := opts.OnBiclique
-	if handler != nil {
-		var mu sync.Mutex
-		inner := handler
-		handler = func(L, R []int32) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(L, R)
-		}
-	}
+	opts.OnBiclique = serialized(opts.OnBiclique)
 
 	var total atomic.Int64
-	var panicOnce sync.Once
-	var panicErr error
 	pool := sched.NewPool[int32](threads, sched.SeedCapacity(len(cand), threads, 1))
 	pool.Seed(cand...)
 	var wg sync.WaitGroup
@@ -76,20 +63,11 @@ func runParMBE(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core.
 	// worker survives to drain the pool.
 	runTask := func(e *parMBEEngine, vp int32) {
 		defer pool.TaskDone()
-		defer func() {
-			if r := recover(); r != nil {
-				panicOnce.Do(func() { panicErr = core.PanicError("ParMBE worker", r) })
-				shared.Trip(tle.Aborted)
-			}
-		}()
+		defer shared.Recover("ParMBE worker")
 		// Forced poll at the task boundary: stops before any work on a
 		// pre-expired deadline or canceled context, observes sibling trips,
 		// and then drains the pool without work.
-		if e.stop.Poll() {
-			return
-		}
-		e.faultStep(SiteParMBETask)
-		if e.stop.Stopped() {
+		if e.stop.Poll() || e.stop.Fault(SiteParMBETask) {
 			return
 		}
 		e.rootTask(vp)
@@ -99,10 +77,8 @@ func runParMBE(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core.
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := &parMBEEngine{g: g, rep: rep, handler: handler, hook: opts.FaultHook, th: newTwoHop(g)}
-			e.stop = tle.NewStopper(shared, opts.StopConfig())
-			e.ids.OnGrow = e.stop.AddMem
-			e.stop.AddMem(twoHopBytes(g)) // two-hop mark table and ordering bit set
+			e := &parMBEEngine{rep: rep}
+			e.init(g, &opts, shared, 0)
 			for {
 				vp, ok := pool.Next(w)
 				if !ok {
@@ -115,34 +91,13 @@ func runParMBE(g *graph.Bipartite, opts core.Options, shared *tle.Shared) (core.
 	}
 	wg.Wait()
 
-	res := core.Result{Count: total.Load(), StopReason: core.StopReasonOf(shared.Reason())}
-	if panicErr != nil {
-		res.StopReason = core.StopPanic
-		return res, panicErr
-	}
-	return res, nil
+	reason, err := shared.Outcome()
+	return core.Result{Count: total.Load(), StopReason: reason}, err
 }
 
 type parMBEEngine struct {
-	g       *graph.Bipartite
-	rep     []map[int32]struct{}
-	handler core.Handler
-	stop    tle.Stopper
-	hook    func(site string) error
-	count   int64
-	ids     vset.Slab[int32]
-	th      *twoHop
-}
-
-// faultStep fires the injection hook at site; an error degrades the run
-// like a blown memory budget.
-func (e *parMBEEngine) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
+	worker
+	rep []map[int32]struct{}
 }
 
 // intersectHash writes {u ∈ L : u ∈ N(v)} into dst via hash lookups (the
@@ -203,10 +158,7 @@ func (e *parMBEEngine) rootTask(vp int32) {
 			np++
 		}
 	}
-	e.count++
-	if e.handler != nil {
-		e.handler(lq, rq[:nr])
-	}
+	e.emit(lq, rq[:nr])
 	if np > 0 {
 		e.search(lq, rq[:nr], pq[:np], qNew[:nq])
 	}
@@ -221,7 +173,7 @@ func (e *parMBEEngine) search(L, R, P, Q []int32) {
 		if e.stop.Hit() {
 			return
 		}
-		e.faultStep(SiteParMBETask)
+		e.stop.Fault(SiteParMBETask)
 		vp := P[i]
 		mark := e.ids.Mark()
 
@@ -275,10 +227,7 @@ func (e *parMBEEngine) search(L, R, P, Q []int32) {
 					np++
 				}
 			}
-			e.count++
-			if e.handler != nil {
-				e.handler(lq, rq[:nr])
-			}
+			e.emit(lq, rq[:nr])
 			if np > 0 {
 				e.search(lq, rq[:nr], pq[:np], qNew[:nq])
 			}

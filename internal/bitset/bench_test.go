@@ -11,7 +11,7 @@ import (
 // stride. Run via `make bench-kernels`. The interesting comparisons:
 //
 //	BenchmarkClassifyPacked vs BenchmarkClassifyPerVertex — batching win
-//	stride sweep 1/2/4 — word-width scaling of the unrolled kernels
+//	stride sweep 2/4 — word-width scaling of the unrolled kernels
 
 const benchMasks = 256
 
@@ -46,7 +46,7 @@ func maskIntersectsSlow(a, b Mask) bool {
 }
 
 func BenchmarkClassifyPacked(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
+	for _, stride := range []int{2, 4} {
 		b.Run(strideName(stride), func(b *testing.B) {
 			lq, packed, ks := benchFixture(stride)
 			out := make([]Rel, len(ks))
@@ -63,7 +63,7 @@ func BenchmarkClassifyPacked(b *testing.B) {
 // Mask header materialized from packed storage and two method calls
 // (intersection test + subset test), with lq re-read each iteration.
 func BenchmarkClassifyPerVertex(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
+	for _, stride := range []int{2, 4} {
 		b.Run(strideName(stride), func(b *testing.B) {
 			lq, packed, ks := benchFixture(stride)
 			out := make([]Rel, len(ks))
@@ -87,7 +87,7 @@ func BenchmarkClassifyPerVertex(b *testing.B) {
 }
 
 func BenchmarkFirstSupersetPacked(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
+	for _, stride := range []int{2, 4} {
 		b.Run(strideName(stride), func(b *testing.B) {
 			lq, packed, ks := benchFixture(stride)
 			// Random fixture masks are ~50% dense, lq too: supersets are
@@ -103,7 +103,7 @@ func BenchmarkFirstSupersetPacked(b *testing.B) {
 }
 
 func BenchmarkFilterIntersectsPacked(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
+	for _, stride := range []int{2, 4} {
 		b.Run(strideName(stride), func(b *testing.B) {
 			lq, packed, ks := benchFixture(stride)
 			dst := make([]int32, len(ks))
@@ -120,7 +120,7 @@ func BenchmarkFilterIntersectsPacked(b *testing.B) {
 // iteration; lp is lq with a few more bits, as for a parent and its
 // child, so some masks are kept and some dropped.
 func BenchmarkDropCoveredPacked(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
+	for _, stride := range []int{2, 4} {
 		b.Run(strideName(stride), func(b *testing.B) {
 			lq, packed, ks := benchFixture(stride)
 			lp := make([]uint64, stride)

@@ -15,11 +15,13 @@ package bitset
 // whole block, instead of being re-read (and its slice header
 // re-materialized) once per candidate as the Mask methods would.
 //
-// Every kernel is unswitched on the stride: widths 1, 2, 3 and 4 words
-// (τ ≤ 256, the configurable fast path) get dedicated inner loops whose
-// word operations are fully unrolled, wider masks fall back to a generic
-// loop. The dispatch happens once per call — once per candidate *block* —
-// not once per candidate.
+// Every kernel is unswitched on the stride: widths 2, 3 and 4 words
+// (64 < τ ≤ 256, the configurable fast path) get dedicated inner loops
+// whose word operations are fully unrolled, other widths fall back to a
+// generic loop. One-word masks never get here in an enumeration: internal/
+// core searches them with its scalar specialization (searchBit1). The
+// dispatch happens once per call — once per candidate *block* — not once
+// per candidate.
 
 // SmallStrideMax is the widest mask stride (in 64-bit words) with a
 // dedicated unrolled kernel; τ up to 64*SmallStrideMax stays on it.
@@ -44,8 +46,6 @@ func AndPacked(dst, lq, packed []uint64, stride int, k int32) {
 	off := int(k) * stride
 	m := packed[off : off+stride]
 	switch stride {
-	case 1:
-		dst[0] = lq[0] & m[0]
 	case 2:
 		dst[0] = lq[0] & m[0]
 		dst[1] = lq[1] & m[1]
@@ -71,8 +71,6 @@ func AndPacked(dst, lq, packed []uint64, stride int, k int32) {
 // node's whole remaining candidate block into R_q / C_q / gone.
 func ClassifyPacked(lq, packed []uint64, stride int, ks []int32, out []Rel) {
 	switch stride {
-	case 1:
-		classify1(lq[0], packed, ks, out)
 	case 2:
 		classify2(lq[0], lq[1], packed, ks, out)
 	case 3:
@@ -92,14 +90,6 @@ func rel3(subset bool, any uint64) Rel {
 		return RelOverlap
 	}
 	return RelDisjoint
-}
-
-func classify1(l0 uint64, packed []uint64, ks []int32, out []Rel) {
-	_ = out[:len(ks)]
-	for i, k := range ks {
-		a0 := l0 & packed[k]
-		out[i] = rel3(a0 == l0, a0)
-	}
 }
 
 func classify2(l0, l1 uint64, packed []uint64, ks []int32, out []Rel) {
@@ -152,13 +142,6 @@ func classifyGeneric(lq, packed []uint64, stride int, ks []int32, out []Rel) {
 // Early exit at the first hit, like the per-vertex check it replaces.
 func FirstSupersetPacked(lq, packed []uint64, stride int, ks []int32) int {
 	switch stride {
-	case 1:
-		l0 := lq[0]
-		for i, k := range ks {
-			if l0&^packed[k] == 0 {
-				return i
-			}
-		}
 	case 2:
 		l0, l1 := lq[0], lq[1]
 		for i, k := range ks {
@@ -208,14 +191,6 @@ func FirstSupersetPacked(lq, packed []uint64, stride int, ks []int32) int {
 func FilterIntersectsPacked(lq, packed []uint64, stride int, ks []int32, dst []int32) int {
 	n := 0
 	switch stride {
-	case 1:
-		l0 := lq[0]
-		for _, k := range ks {
-			if l0&packed[k] != 0 {
-				dst[n] = k
-				n++
-			}
-		}
 	case 2:
 		l0, l1 := lq[0], lq[1]
 		for _, k := range ks {
@@ -271,14 +246,6 @@ func FilterIntersectsPacked(lq, packed []uint64, stride int, ks []int32, dst []i
 func DropCoveredPacked(lp, lq, packed []uint64, stride int, ks []int32) int {
 	n := 0
 	switch stride {
-	case 1:
-		d0 := lp[0] &^ lq[0]
-		for _, k := range ks {
-			if d0&packed[k] != 0 {
-				ks[n] = k
-				n++
-			}
-		}
 	case 2:
 		d0, d1 := lp[0]&^lq[0], lp[1]&^lq[1]
 		for _, k := range ks {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// kernelStrides covers every dedicated unrolled kernel (1–4 words) plus the
-// first stride that falls through to the generic loop.
+// kernelStrides covers every dedicated unrolled kernel (2–4 words) plus the
+// strides on either side that fall through to the generic loop.
 var kernelStrides = []int{1, 2, 3, 4, 5}
 
 // packedFixture builds packed mask storage for nMasks masks of the given

@@ -22,7 +22,7 @@ func (e *engine) searchGlobal(L, R []int32, cand []int32, depth int) {
 		if e.stop.Hit() {
 			return
 		}
-		e.faultStep(SiteNode)
+		e.stop.Fault(SiteNode)
 		vp := cand[i]
 		mark := e.ids.Mark()
 

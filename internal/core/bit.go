@@ -111,7 +111,7 @@ func (e *engine) searchPromoted(cg *bitCG, R []int32) {
 		return
 	}
 	e.ctr.Promotions++
-	e.faultStep(SiteBitmap)
+	e.stop.Fault(SiteBitmap)
 	e.observeBitmap(cg.width)
 	reg := obs.TraceRegion("mbe/bit-subtree")
 	e.searchBitRoot(cg, R)

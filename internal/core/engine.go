@@ -32,7 +32,6 @@ type engine struct {
 	tau     int
 	handler Handler
 	stop    tle.Stopper
-	hook    func(site string) error // Options.FaultHook
 
 	// ctr is the worker's one store of event counts: nodes, bicliques,
 	// bitmaps, promotions, tasks, steals and the root cursor, each counted
@@ -121,7 +120,6 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 		variant: opts.Variant,
 		tau:     opts.tau(),
 		handler: opts.OnBiclique,
-		hook:    opts.FaultHook,
 		collect: opts.Metrics != nil,
 		probe:   opts.Obs.Worker(wid),
 
@@ -187,19 +185,6 @@ func (e *engine) mergeMetrics(m *Metrics) {
 	e.metrics.TasksStolen = c.Steals
 	e.arena.stats(&e.metrics)
 	m.merge(&e.metrics)
-}
-
-// faultStep runs the test-only fault hook at an instrumentation site. An
-// injected allocation failure degrades the worker exactly like an
-// exhausted memory budget; injected panics propagate into the engine's
-// panic-isolation path.
-func (e *engine) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
 }
 
 // run executes a serial run from the root node (U, ∅, V): it expands
@@ -412,7 +397,7 @@ func (e *engine) expandGlobalRoot(vp int32) {
 		return
 	}
 	e.curRoot = vp
-	e.faultStep(SiteRoot)
+	e.stop.Fault(SiteRoot)
 	lq := g.NeighborsOfV(vp) // L' = U ∩ N(v')
 	if e.skipChild != nil && e.skipChild(len(lq)) {
 		return
@@ -474,7 +459,7 @@ func (e *engine) expandLNRoot(vp int32) {
 		return
 	}
 	e.curRoot = vp
-	e.faultStep(SiteRoot)
+	e.stop.Fault(SiteRoot)
 	lq := g.NeighborsOfV(vp)
 	if e.skipChild != nil && e.skipChild(len(lq)) {
 		return

@@ -40,7 +40,7 @@ func (e *engine) searchLN(L, R []int32, candIDs []int32, candNbrs [][]int32, exc
 		if e.stop.Hit() {
 			return
 		}
-		e.faultStep(SiteNode)
+		e.stop.Fault(SiteNode)
 		// Rule 2: L_q is exactly the cached local neighborhood of v'.
 		lq := candNbrs[i]
 		if e.skipChild != nil && e.skipChild(len(lq)) {

@@ -107,14 +107,14 @@ func shouldSpawn(pool *sched.Pool[*detachedNode], w, nCand int) bool {
 // bypasses the shard for direct concurrent calls. Handler-less runs only
 // count and touch no shared state between task boundaries.
 //
-// Lifecycle: every task runs under panic recovery. A panicking task trips
-// the run's shared stop state (tle.Aborted), so sibling workers wind down
-// at their next amortized check; the panicking worker itself stays alive
-// to keep draining (and discarding) queued tasks, which guarantees the
-// pending count reaches zero and no goroutine leaks. The first panic is
-// reported as the run's error; counts and metrics accumulated by every
-// worker — including the one that panicked — are still merged, so the
-// caller gets monotone partial results.
+// Lifecycle: every task runs under panic recovery (tle.Shared.Recover). A
+// panicking task trips the run's shared stop state, so sibling workers
+// wind down at their next amortized check; the panicking worker itself
+// stays alive to keep draining (and discarding) queued tasks, which
+// guarantees the pending count reaches zero and no goroutine leaks. The
+// first panic is reported as the run's error; counts and metrics
+// accumulated by every worker — including the one that panicked — are
+// still merged, so the caller gets monotone partial results.
 func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Result, error) {
 	threads := opts.Threads
 	pool := sched.NewPool[*detachedNode](threads, parallelQueueCap)
@@ -135,10 +135,7 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 
 	var workers sync.WaitGroup
 	var total atomic.Int64
-	var panicOnce sync.Once
-	var panicErr error
 	var emitMu sync.Mutex // serializes shard flushes across workers
-	fault := opts.FaultHook
 	var metricsMu sync.Mutex
 
 	for w := 0; w < threads; w++ {
@@ -168,12 +165,7 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				count := e.ctr.Bicliques
 				if shard != nil {
 					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								panicOnce.Do(func() { panicErr = panicError("ParAdaMBE emit flush", r) })
-								shared.Trip(tle.Aborted)
-							}
-						}()
+						defer shared.Recover("ParAdaMBE emit flush")
 						shard.flush()
 					}()
 					// Anything the shard could not deliver is reconciled out
@@ -195,11 +187,8 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 					e.metrics.TasksInlined++
 					return false
 				}
-				if fault != nil {
-					if err := fault(SiteSpawn); err != nil {
-						e.stop.Fail(tle.MemoryExceeded)
-						return false
-					}
+				if e.stop.Fault(SiteSpawn) {
+					return false
 				}
 				// CanPush held above, and only this worker pushes to this
 				// deque: the slot is reserved, the copy cannot be wasted
@@ -240,12 +229,7 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				}
 				defer obs.TraceRegion("mbe/task").End()
 				defer pool.TaskDone()
-				defer func() {
-					if r := recover(); r != nil {
-						panicOnce.Do(func() { panicErr = panicError("ParAdaMBE worker", r) })
-						shared.Trip(tle.Aborted)
-					}
-				}()
+				defer shared.Recover("ParAdaMBE worker")
 				defer func() {
 					if n.mem != 0 {
 						e.stop.AddMem(-n.mem)
@@ -293,10 +277,6 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 		}
 	}
 
-	res := Result{Count: total.Load(), StopReason: stopReasonFrom(shared.Reason())}
-	if panicErr != nil {
-		res.StopReason = StopPanic
-		return res, panicErr
-	}
-	return res, nil
+	reason, err := shared.Outcome()
+	return Result{Count: total.Load(), StopReason: reason}, err
 }

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/graph"
@@ -227,66 +226,26 @@ func (o *Options) tau() int {
 }
 
 // StopReason says why an enumeration run returned before exhausting the
-// search tree. StopNone means the run completed.
-type StopReason uint8
+// search tree. StopNone means the run completed. It is tle's stop
+// vocabulary, so every engine reports in the same terms.
+type StopReason = tle.Reason
 
+// The stop reasons a Result can carry.
 const (
 	// StopNone: the run enumerated the full tree.
-	StopNone StopReason = iota
+	StopNone = tle.None
 	// StopDeadline: Options.Deadline passed (the paper's TLE protocol).
-	StopDeadline
+	StopDeadline = tle.DeadlineExceeded
 	// StopCanceled: Options.Context was canceled.
-	StopCanceled
+	StopCanceled = tle.Canceled
 	// StopMemoryBudget: engine-tracked memory exceeded
 	// Options.MaxMemoryBytes (or a fault hook simulated an allocation
 	// failure).
-	StopMemoryBudget
+	StopMemoryBudget = tle.MemoryExceeded
 	// StopPanic: a worker panicked; Enumerate recovered, returned partial
 	// results, and reported the panic as an error wrapping ErrPanic.
-	StopPanic
+	StopPanic = tle.Aborted
 )
-
-// String names the stop reason.
-func (r StopReason) String() string {
-	switch r {
-	case StopNone:
-		return "none"
-	case StopDeadline:
-		return "deadline"
-	case StopCanceled:
-		return "canceled"
-	case StopMemoryBudget:
-		return "memory-budget"
-	case StopPanic:
-		return "panic"
-	default:
-		return fmt.Sprintf("StopReason(%d)", int(r))
-	}
-}
-
-// StopReasonOf maps a tle.Reason observed by a stopper onto the Result
-// vocabulary. Exported for sibling enumeration packages (the competitor
-// baselines) that share the stopper infrastructure and report through
-// core.Result.
-func StopReasonOf(r tle.Reason) StopReason { return stopReasonFrom(r) }
-
-// stopReasonFrom maps a tle.Reason observed by the stoppers onto the
-// Result vocabulary. tle.Aborted means a sibling worker panicked, so the
-// run as a whole stopped because of that panic.
-func stopReasonFrom(r tle.Reason) StopReason {
-	switch r {
-	case tle.DeadlineExceeded:
-		return StopDeadline
-	case tle.Canceled:
-		return StopCanceled
-	case tle.MemoryExceeded:
-		return StopMemoryBudget
-	case tle.Aborted:
-		return StopPanic
-	default:
-		return StopNone
-	}
-}
 
 // Result summarizes an enumeration run.
 type Result struct {
@@ -487,17 +446,7 @@ func ValidateRootRange(start, end int32, nv int) error {
 // ErrPanic reports that an enumeration worker panicked. Enumerate
 // recovers the panic, winds the run down without leaking goroutines, and
 // returns partial results alongside an error wrapping ErrPanic.
-var ErrPanic = errors.New("core: panic during enumeration")
-
-// PanicError wraps a recovered panic value (with its stack) as an error
-// wrapping ErrPanic. Exported for sibling enumeration packages that apply
-// the same panic-isolation discipline.
-func PanicError(where string, r any) error {
-	return fmt.Errorf("%w in %s: %v\n%s", ErrPanic, where, r, debug.Stack())
-}
-
-// panicError is the package-local spelling of PanicError.
-func panicError(where string, r any) error { return PanicError(where, r) }
+var ErrPanic = tle.ErrPanic
 
 // StopConfig translates enumeration options into the stopper conditions.
 // Exported for the competitor baselines, which take the same Options.
@@ -506,6 +455,7 @@ func (o *Options) StopConfig() tle.Config {
 		Deadline:       o.Deadline,
 		Context:        o.Context,
 		MaxMemoryBytes: o.MaxMemoryBytes,
+		FaultHook:      o.FaultHook,
 	}
 }
 
@@ -576,12 +526,10 @@ func enumerateSerial(g *graph.Bipartite, opts Options, shared *tle.Shared) (res 
 		if opts.Metrics != nil {
 			e.mergeMetrics(opts.Metrics)
 		}
-		res = Result{Count: e.ctr.Bicliques, StopReason: stopReasonFrom(e.stop.Reason())}
-		if r := recover(); r != nil {
-			res.StopReason = StopPanic
-			err = panicError("serial engine", r)
-		}
+		res.Count = e.ctr.Bicliques
+		res.StopReason, err = shared.Outcome()
 	}()
+	defer shared.Recover("serial engine")
 	e.run(NewRootCursor(&opts, g.NV()))
 	return res, nil
 }

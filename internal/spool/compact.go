@@ -2,11 +2,6 @@ package spool
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -55,17 +50,17 @@ func compactShard(dir string, idx int, meta Meta, keep func(int32) bool) error {
 	}
 
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	enc := newFrameEncoder(bw, meta.Compress, meta.FrameBytes)
+	enc := newFrameEncoder(bw, meta.Compress, 0)
 	_, err = replayShard(dir, idx, func(root int32, L, R []int32) error {
 		if keep == nil || keep(root) {
-			enc.add(root, L, R)
+			return enc.add(root, L, R)
 		}
 		return nil
 	})
 	if err != nil {
 		return abort(err)
 	}
-	if err := enc.flush(); err != nil {
+	if err := enc.cut(); err != nil {
 		return abort(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -82,85 +77,5 @@ func compactShard(dir string, idx int, meta Meta, keep func(int32) bool) error {
 		os.Remove(tmpName)
 		return err
 	}
-	return nil
-}
-
-// frameEncoder re-frames a record stream: the compaction-side twin of
-// shardWriter, minus the concurrency, fault-injection, and stats
-// concerns of the live write path. Records arrive pre-sorted (they come
-// from the decoder, which enforces strictly ascending sides).
-type frameEncoder struct {
-	w        io.Writer
-	target   int
-	recBuf   []byte
-	nrec     uint64
-	prevRoot int32
-	frameBuf []byte
-	flateW   *flate.Writer
-	flateBuf bytes.Buffer
-	err      error
-}
-
-func newFrameEncoder(w io.Writer, compress bool, frameBytes int) *frameEncoder {
-	e := &frameEncoder{w: w, target: frameBytes}
-	if e.target <= 0 {
-		e.target = DefaultFrameBytes
-	}
-	if compress {
-		e.flateW, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
-	}
-	return e
-}
-
-func (e *frameEncoder) add(root int32, L, R []int32) {
-	if e.err != nil {
-		return
-	}
-	e.recBuf = appendRecord(e.recBuf, root-e.prevRoot, L, R)
-	e.prevRoot = root
-	e.nrec++
-	if len(e.recBuf) >= e.target {
-		e.err = e.flush()
-	}
-}
-
-func (e *frameEncoder) flush() error {
-	if e.err != nil {
-		return e.err
-	}
-	if e.nrec == 0 {
-		return nil
-	}
-	payload := binary.AppendUvarint(e.frameBuf[:0], e.nrec)
-	payload = append(payload, e.recBuf...)
-	e.frameBuf = payload
-
-	stored := payload
-	flags := byte(0)
-	if e.flateW != nil {
-		e.flateBuf.Reset()
-		e.flateW.Reset(&e.flateBuf)
-		if _, err := e.flateW.Write(payload); err == nil && e.flateW.Close() == nil {
-			if e.flateBuf.Len() < len(payload) {
-				stored = e.flateBuf.Bytes()
-				flags = flagCompressed
-			}
-		}
-	}
-
-	var hdr [frameHeaderSize]byte
-	copy(hdr[:4], frameMagic)
-	hdr[4] = flags
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(stored)))
-	binary.LittleEndian.PutUint32(hdr[9:13], crc32.Checksum(stored, crcTable))
-	if err := writeFull(e.w, hdr[:]); err != nil {
-		return err
-	}
-	if err := writeFull(e.w, stored); err != nil {
-		return err
-	}
-	e.recBuf = e.recBuf[:0]
-	e.nrec = 0
-	e.prevRoot = 0
 	return nil
 }

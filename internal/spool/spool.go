@@ -138,13 +138,12 @@ type Meta struct {
 	// Graph identity: sizes plus a degree-sequence hash. Cheap to
 	// compute (O(|U|+|V|)) and collision-resistant enough to catch every
 	// accidental graph mismatch on resume.
-	NU         int    `json:"nu"`
-	NV         int    `json:"nv"`
-	Edges      int64  `json:"edges"`
-	GraphHash  string `json:"graph_hash"`
-	Compress   bool   `json:"compress"`
-	CreatedAt  string `json:"created_at,omitempty"`
-	FrameBytes int    `json:"frame_bytes,omitempty"`
+	NU        int    `json:"nu"`
+	NV        int    `json:"nv"`
+	Edges     int64  `json:"edges"`
+	GraphHash string `json:"graph_hash"`
+	Compress  bool   `json:"compress"`
+	CreatedAt string `json:"created_at,omitempty"`
 }
 
 // CompatibleResume reports whether a run described by want may append to

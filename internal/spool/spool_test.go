@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -532,5 +533,58 @@ func TestAtomicWriteFile(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Errorf("temp files left behind: %v", ents)
+	}
+}
+
+// TestCompactKeepsFramesUnderBound: compaction re-packs records across the
+// frame cuts a checkpoint made, so small records followed by a record near
+// MaxFramePayload must not become one frame past the bound — the reader
+// would reject it as a torn tail, and a resume would lose its records.
+func TestCompactKeepsFramesUnderBound(t *testing.T) {
+	// The big record is 67 MB as []int32; collect early so the test's
+	// peak heap stays near its live data.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	dir := t.TempDir()
+	w, err := Create(dir, testMeta(1, false), WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const small = 1000
+	for i := int32(0); i < small; i++ {
+		w.Emit(0, i, []int32{i}, []int32{i})
+	}
+	if _, err := w.SyncAll(); err != nil { // a checkpoint cuts the frame
+		t.Fatal(err)
+	}
+	// One id per payload byte: R = 0, 1, …, n−1 encodes as n bytes, so the
+	// record fills a frame of its own to just under the bound.
+	big := make([]int32, MaxFramePayload-64)
+	for i := range big {
+		big[i] = int32(i)
+	}
+	w.Emit(0, small, []int32{0}, big)
+	big = nil
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if states, err := Verify(dir); err != nil || Clean(states) != nil || TotalRecords(states) != small+1 {
+		t.Fatalf("writer's spool: %v %v, %d records, want a clean %d", err, Clean(states), TotalRecords(states), small+1)
+	}
+
+	if err := CompactBelow(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	states, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Clean(states); err != nil {
+		t.Fatalf("compacted shard does not replay clean: %v", err)
+	}
+	if n := TotalRecords(states); n != small+1 {
+		t.Fatalf("compacted shard holds %d records, want %d", n, small+1)
+	}
+	if states[0].Frames != 2 {
+		t.Fatalf("compacted shard has %d frames, want the small records and the big one apart", states[0].Frames)
 	}
 }

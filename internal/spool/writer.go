@@ -53,7 +53,6 @@ type Writer struct {
 	dir    string
 	meta   Meta
 	opts   WriterOptions
-	target int
 	shards []*shardWriter
 
 	errOnce sync.Once
@@ -65,19 +64,11 @@ type Writer struct {
 type shardWriter struct {
 	mu     sync.Mutex
 	parent *Writer
-	idx    int
 	f      *os.File
-	w      io.Writer // f, possibly wrapped by WrapShard
-
-	recBuf   []byte // encoded records of the open frame
-	nrec     uint64
-	prevRoot int32
-	offset   int64 // bytes of complete frames handed to w
+	enc    *frameEncoder // writes to f, possibly wrapped by WrapShard
+	offset int64         // bytes of complete frames handed to enc's writer
 
 	sortL, sortR []int32
-	frameBuf     []byte
-	flateW       *flate.Writer
-	flateBuf     bytes.Buffer
 }
 
 // Create initializes a fresh spool directory: writes the meta file,
@@ -103,10 +94,7 @@ func Create(dir string, meta Meta, opts WriterOptions) (*Writer, error) {
 	if err := AtomicWriteFile(metaPath, append(blob, '\n'), durable); err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, meta: meta, opts: opts, target: opts.TargetFrameBytes}
-	if w.target <= 0 {
-		w.target = DefaultFrameBytes
-	}
+	w := &Writer{dir: dir, meta: meta, opts: opts}
 	for i := 0; i < meta.Shards; i++ {
 		f, err := os.OpenFile(filepath.Join(dir, ShardName(i)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -126,10 +114,7 @@ func OpenAppend(dir string, opts WriterOptions) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, meta: meta, opts: opts, target: opts.TargetFrameBytes}
-	if w.target <= 0 {
-		w.target = DefaultFrameBytes
-	}
+	w := &Writer{dir: dir, meta: meta, opts: opts}
 	for i := 0; i < meta.Shards; i++ {
 		f, err := os.OpenFile(filepath.Join(dir, ShardName(i)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -148,13 +133,13 @@ func OpenAppend(dir string, opts WriterOptions) (*Writer, error) {
 }
 
 func newShardWriter(w *Writer, idx int, f *os.File, offset int64) *shardWriter {
-	s := &shardWriter{parent: w, idx: idx, f: f, w: f, offset: offset}
+	s := &shardWriter{parent: w, f: f, offset: offset}
+	var out io.Writer = f
 	if w.opts.WrapShard != nil {
-		s.w = w.opts.WrapShard(idx, f)
+		out = w.opts.WrapShard(idx, f)
 	}
-	if w.meta.Compress {
-		s.flateW, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
-	}
+	s.enc = newFrameEncoder(out, w.meta.Compress, w.opts.TargetFrameBytes)
+	s.enc.wrote = s.wrote
 	return s
 }
 
@@ -171,11 +156,8 @@ func (w *Writer) Emit(worker int, root int32, L, R []int32) {
 	defer s.mu.Unlock()
 	s.sortL = sortedCopy(s.sortL, L)
 	s.sortR = sortedCopy(s.sortR, R)
-	s.recBuf = appendRecord(s.recBuf, root-s.prevRoot, s.sortL, s.sortR)
-	s.prevRoot = root
-	s.nrec++
-	if len(s.recBuf) >= s.parent.target {
-		s.flushLocked()
+	if err := s.enc.add(root, s.sortL, s.sortR); err != nil {
+		w.fail(err)
 	}
 }
 
@@ -190,27 +172,108 @@ func sortedCopy(dst, src []int32) []int32 {
 // flushLocked cuts the open frame and writes it to the shard file.
 // Caller holds s.mu.
 func (s *shardWriter) flushLocked() {
-	if s.nrec == 0 {
-		return
+	if err := s.enc.cut(); err != nil {
+		s.parent.fail(err)
 	}
+}
+
+// wrote accounts one frame of n bytes holding records records written to
+// the shard file, and fsyncs it under FsyncAlways. Caller holds s.mu.
+func (s *shardWriter) wrote(n int64, records uint64) error {
 	w := s.parent
-	payload := binary.AppendUvarint(s.frameBuf[:0], s.nrec)
-	payload = append(payload, s.recBuf...)
-	s.frameBuf = payload
+	s.offset += n
+	w.bytes.Add(n)
+	w.frames.Add(1)
+	w.records.Add(int64(records))
+	if w.opts.Fsync == FsyncAlways {
+		if err := s.f.Sync(); err != nil {
+			return err
+		}
+		w.fsyncs.Add(1)
+	}
+	return nil
+}
+
+// frameEncoder assembles records into frames — a count-prefixed payload,
+// optionally flate-compressed, behind a header with its CRC32C — and
+// writes them to w. It is the one frame encoder of the shard writers and
+// of compaction. It cuts the open frame once the payload reaches target
+// bytes, and before a record that would push it past MaxFramePayload, so
+// every frame it writes is one the reader accepts; a single record past
+// the bound is an error.
+type frameEncoder struct {
+	w      io.Writer
+	target int
+	// wrote, if non-nil, runs after each frame is written, with the
+	// frame's size in bytes and its record count; its error is the
+	// writing call's.
+	wrote func(n int64, records uint64) error
+
+	recBuf   []byte // encoded records of the open frame
+	nrec     uint64
+	prevRoot int32
+	frameBuf []byte
+	flateW   *flate.Writer
+	flateBuf bytes.Buffer
+}
+
+// newFrameEncoder returns an encoder writing to w; target <= 0 means
+// DefaultFrameBytes.
+func newFrameEncoder(w io.Writer, compress bool, target int) *frameEncoder {
+	e := &frameEncoder{w: w, target: target}
+	if e.target <= 0 {
+		e.target = DefaultFrameBytes
+	}
+	if compress {
+		e.flateW, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
+	}
+	return e
+}
+
+// add appends one record, both sides sorted strictly ascending, to the
+// open frame, writing frames as the cut rules say.
+func (e *frameEncoder) add(root int32, L, R []int32) error {
+	start := len(e.recBuf)
+	e.recBuf = appendRecord(e.recBuf, root-e.prevRoot, L, R)
+	if e.nrec > 0 && binary.MaxVarintLen64+len(e.recBuf) > MaxFramePayload {
+		// With room for the record count, the record would push the
+		// payload past the bound: it opens the next frame instead, where
+		// its root delta starts again from 0.
+		e.recBuf = e.recBuf[:start]
+		if err := e.cut(); err != nil {
+			return err
+		}
+		e.recBuf = appendRecord(e.recBuf, root, L, R)
+	}
+	e.prevRoot = root
+	e.nrec++
+	if len(e.recBuf) >= e.target {
+		return e.cut()
+	}
+	return nil
+}
+
+// cut writes the open frame, if it holds any record.
+func (e *frameEncoder) cut() error {
+	if e.nrec == 0 {
+		return nil
+	}
+	payload := binary.AppendUvarint(e.frameBuf[:0], e.nrec)
+	payload = append(payload, e.recBuf...)
+	e.frameBuf = payload
 	if len(payload) > MaxFramePayload {
-		w.fail(fmt.Errorf("%w: %d bytes in one frame (a single biclique record may not exceed %d bytes)",
-			errTooLarge, len(payload), MaxFramePayload))
-		return
+		return fmt.Errorf("%w: %d bytes in one frame (a single biclique record may not exceed %d bytes)",
+			errTooLarge, len(payload), MaxFramePayload)
 	}
 
 	stored := payload
 	flags := byte(0)
-	if s.flateW != nil {
-		s.flateBuf.Reset()
-		s.flateW.Reset(&s.flateBuf)
-		if _, err := s.flateW.Write(payload); err == nil && s.flateW.Close() == nil {
-			if s.flateBuf.Len() < len(payload) {
-				stored = s.flateBuf.Bytes()
+	if e.flateW != nil {
+		e.flateBuf.Reset()
+		e.flateW.Reset(&e.flateBuf)
+		if _, err := e.flateW.Write(payload); err == nil && e.flateW.Close() == nil {
+			if e.flateBuf.Len() < len(payload) {
+				stored = e.flateBuf.Bytes()
 				flags = flagCompressed
 			}
 		}
@@ -221,31 +284,20 @@ func (s *shardWriter) flushLocked() {
 	hdr[4] = flags
 	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(stored)))
 	binary.LittleEndian.PutUint32(hdr[9:13], crc32.Checksum(stored, crcTable))
-
-	if err := writeFull(s.w, hdr[:]); err != nil {
-		w.fail(err)
-		return
+	if err := writeFull(e.w, hdr[:]); err != nil {
+		return err
 	}
-	if err := writeFull(s.w, stored); err != nil {
-		w.fail(err)
-		return
+	if err := writeFull(e.w, stored); err != nil {
+		return err
 	}
-	n := int64(frameHeaderSize + len(stored))
-	s.offset += n
-	w.bytes.Add(n)
-	w.frames.Add(1)
-	w.records.Add(int64(s.nrec))
-	s.recBuf = s.recBuf[:0]
-	s.nrec = 0
-	s.prevRoot = 0
-
-	if w.opts.Fsync == FsyncAlways {
-		if err := s.f.Sync(); err != nil {
-			w.fail(err)
-			return
-		}
-		w.fsyncs.Add(1)
+	records := e.nrec
+	e.recBuf = e.recBuf[:0]
+	e.nrec = 0
+	e.prevRoot = 0
+	if e.wrote != nil {
+		return e.wrote(int64(frameHeaderSize+len(stored)), records)
 	}
+	return nil
 }
 
 func writeFull(w io.Writer, p []byte) error {

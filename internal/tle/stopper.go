@@ -2,12 +2,16 @@ package tle
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
 
 // Reason says why an enumeration run stopped before completing the search
 // tree. The zero value None means the run is still going (or finished).
+// It is the one stop vocabulary: core.StopReason is an alias of it.
 type Reason uint8
 
 const (
@@ -20,8 +24,9 @@ const (
 	// MemoryExceeded: the soft memory budget was exceeded by engine-side
 	// allocation accounting.
 	MemoryExceeded
-	// Aborted: a sibling worker failed (panic isolation): every other
-	// worker of the run winds down and returns partial results.
+	// Aborted: a worker panicked (panic isolation, see Shared.Recover):
+	// every other worker of the run winds down and returns partial
+	// results. It prints as "panic".
 	Aborted
 )
 
@@ -37,19 +42,25 @@ func (r Reason) String() string {
 	case MemoryExceeded:
 		return "memory-budget"
 	case Aborted:
-		return "aborted"
+		return "panic"
 	default:
 		return "unknown"
 	}
 }
 
+// ErrPanic is wrapped by the error of a run in which a worker panicked:
+// the run recovered the panic, wound down without leaking goroutines and
+// returned partial results (see Shared.Recover).
+var ErrPanic = errors.New("core: panic during enumeration")
+
 // Shared is the per-run state every worker's Stopper observes: a sticky
-// first-stop reason and the run-wide memory gauge. One Shared is created
-// per enumeration run and handed to every worker; the zero value is ready
-// to use.
+// first-stop reason, the run-wide memory gauge and the run's first
+// recovered panic. One Shared is created per enumeration run and handed
+// to every worker; the zero value is ready to use.
 type Shared struct {
-	reason atomic.Uint32
-	mem    atomic.Int64
+	reason   atomic.Uint32
+	mem      atomic.Int64
+	panicked atomic.Pointer[error] // the first recovered panic
 }
 
 // Trip publishes r as the run's stop reason; the first reason wins.
@@ -61,6 +72,32 @@ func (s *Shared) Trip(r Reason) {
 
 // Reason returns the published stop reason (None while running).
 func (s *Shared) Reason() Reason { return Reason(s.reason.Load()) }
+
+// Recover is the panic isolation of every engine, deferred directly by
+// the function whose panics it contains (defer shared.Recover(where)).
+// It recovers a panic of the deferring goroutine, keeps the run's first
+// as an error wrapping ErrPanic — where names the panicking component,
+// and the error carries its stack — and trips Aborted, so sibling workers
+// wind down at their next poll. A serial run defers it after the
+// function that reads Outcome, so that it runs first.
+func (s *Shared) Recover(where string) {
+	if r := recover(); r != nil {
+		err := fmt.Errorf("%w in %s: %v\n%s", ErrPanic, where, r, debug.Stack())
+		s.panicked.CompareAndSwap(nil, &err)
+		s.Trip(Aborted)
+	}
+}
+
+// Outcome is how the run ended, read once every worker has returned: the
+// first recovered panic makes it (Aborted, that panic's error) whatever
+// stopped the run first; otherwise it is the published stop reason and a
+// nil error.
+func (s *Shared) Outcome() (Reason, error) {
+	if p := s.panicked.Load(); p != nil {
+		return Aborted, *p
+	}
+	return s.Reason(), nil
+}
 
 // AddMem adjusts the run's tracked memory gauge by delta bytes. Negative
 // deltas release a prior charge — queued parallel tasks charge their
@@ -86,6 +123,10 @@ type Config struct {
 	// worker's own goroutine, whether or not a deadline, context or budget
 	// is set. The engines publish their live counters from it.
 	OnPoll func()
+	// FaultHook, if non-nil, runs at every Fault call with the call's
+	// instrumentation site (test-only; see internal/faultinject). It must
+	// be safe for concurrent calls when the run has several workers.
+	FaultHook func(site string) error
 }
 
 // Stopper folds deadline, context cancellation, the soft memory budget and
@@ -98,6 +139,7 @@ type Stopper struct {
 	shared *Shared
 	done   <-chan struct{}
 	onPoll func()
+	hook   func(site string) error
 	at     time.Time
 	budget int64
 	timed  bool
@@ -112,6 +154,7 @@ func NewStopper(shared *Shared, cfg Config) Stopper {
 	s := Stopper{
 		shared: shared,
 		onPoll: cfg.OnPoll,
+		hook:   cfg.FaultHook,
 		at:     cfg.Deadline,
 		budget: cfg.MaxMemoryBytes,
 		timed:  !cfg.Deadline.IsZero(),
@@ -186,9 +229,26 @@ func (s *Stopper) fail(r Reason) {
 	s.shared.Trip(r)
 }
 
-// Fail force-stops the worker outside the Hit cadence (simulated
-// allocation failure, fault injection).
+// Fail force-stops the worker outside the Hit cadence.
 func (s *Stopper) Fail(r Reason) { s.fail(r) }
+
+// Fault runs the fault hook at an engine instrumentation site and reports
+// whether it failed. A failure is a simulated allocation failure: the
+// worker stops with MemoryExceeded, as if the memory budget were
+// exhausted. A panic in the hook propagates into the engine's panic
+// isolation. Without a hook it is one inlined nil check.
+func (s *Stopper) Fault(site string) bool {
+	return s.hook != nil && s.fault(site)
+}
+
+// fault is Fault's out-of-line half, kept apart so Fault inlines.
+func (s *Stopper) fault(site string) bool {
+	if err := s.hook(site); err != nil {
+		s.fail(MemoryExceeded)
+		return true
+	}
+	return false
+}
 
 // Stopped reports whether a previous Hit (or Fail) stopped the worker.
 func (s *Stopper) Stopped() bool { return s.reason != None }

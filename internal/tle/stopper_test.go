@@ -2,6 +2,8 @@ package tle
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -223,11 +225,78 @@ func TestPollBypassesAmortization(t *testing.T) {
 func TestReasonStrings(t *testing.T) {
 	want := map[Reason]string{
 		None: "none", DeadlineExceeded: "deadline", Canceled: "canceled",
-		MemoryExceeded: "memory-budget", Aborted: "aborted", Reason(99): "unknown",
+		MemoryExceeded: "memory-budget", Aborted: "panic", Reason(99): "unknown",
 	}
 	for r, s := range want {
 		if r.String() != s {
 			t.Fatalf("Reason(%d).String() = %q, want %q", r, r.String(), s)
 		}
+	}
+}
+
+// TestRecoverKeepsFirstPanic pins the run's panic record: the first
+// recovered panic wins, wraps ErrPanic with its site and stack, and makes
+// the outcome a panic even when another stop was published first.
+func TestRecoverKeepsFirstPanic(t *testing.T) {
+	shared := &Shared{}
+	if r, err := shared.Outcome(); r != None || err != nil {
+		t.Fatalf("clean run: Outcome = (%v, %v), want (none, nil)", r, err)
+	}
+	shared.Trip(DeadlineExceeded)
+	for _, where := range []string{"first worker", "second worker"} {
+		func() {
+			defer shared.Recover(where)
+			panic("boom in " + where)
+		}()
+	}
+	r, err := shared.Outcome()
+	if r != Aborted || !errors.Is(err, ErrPanic) {
+		t.Fatalf("Outcome = (%v, %v), want (panic, error wrapping ErrPanic)", r, err)
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "in first worker: boom in first worker") || strings.Contains(msg, "second") {
+		t.Fatalf("panic record %q does not name only the first panic", msg)
+	}
+	if !strings.Contains(msg, "TestRecoverKeepsFirstPanic") {
+		t.Fatalf("panic record carries no stack of the panicking goroutine:\n%s", msg)
+	}
+	if shared.Reason() != DeadlineExceeded {
+		t.Fatalf("published reason = %v, want the first trip (deadline) kept", shared.Reason())
+	}
+}
+
+// TestRecoverWithoutPanic: a deferred Recover on a normal return records
+// nothing and trips nothing.
+func TestRecoverWithoutPanic(t *testing.T) {
+	shared := &Shared{}
+	func() { defer shared.Recover("worker") }()
+	if r, err := shared.Outcome(); r != None || err != nil {
+		t.Fatalf("Outcome = (%v, %v), want (none, nil)", r, err)
+	}
+}
+
+// TestFaultHook: a hook error fails the worker and the run with
+// MemoryExceeded; a nil error or no hook leaves both running.
+func TestFaultHook(t *testing.T) {
+	if s := NewStopper(&Shared{}, Config{}); s.Fault("site") || s.Stopped() {
+		t.Fatal("Fault without a hook stopped the worker")
+	}
+	var sites []string
+	shared := &Shared{}
+	s := NewStopper(shared, Config{FaultHook: func(site string) error {
+		sites = append(sites, site)
+		if site == "fail" {
+			return errors.New("injected")
+		}
+		return nil
+	}})
+	if s.Fault("pass") || s.Stopped() {
+		t.Fatal("a nil hook error stopped the worker")
+	}
+	if !s.Fault("fail") || s.Reason() != MemoryExceeded || shared.Reason() != MemoryExceeded {
+		t.Fatalf("failed fault step: worker %v, run %v, want memory-budget for both", s.Reason(), shared.Reason())
+	}
+	if len(sites) != 2 || sites[0] != "pass" || sites[1] != "fail" {
+		t.Fatalf("hook saw sites %v, want [pass fail]", sites)
 	}
 }

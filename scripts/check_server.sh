@@ -11,13 +11,16 @@
 #   3. Restart mbed over the same store and wait for the job to finish.
 #      Its digest must equal the direct run's — exactly-once resume, no
 #      dropped or duplicated bicliques.
+#   4. Stream the job's results: rewritten to `mbe cat`'s line format and
+#      sorted, they must equal the sorted `mbe cat` of the direct run's
+#      spool, byte for byte.
 #
 # Phase 2 — load shedding + telemetry:
-#   4. Restart mbed with a one-job admission window, submit a slow job,
+#   5. Restart mbed with a one-job admission window, submit a slow job,
 #      then a saturating burst: at least one submit must be shed with
 #      429 + Retry-After (echoing the client's X-MBE-Trace) while
 #      /debug/progress and job status reads keep answering 200.
-#   5. Scrape /metrics mid-burst: the service families must be present
+#   6. Scrape /metrics mid-burst: the service families must be present
 #      and parseable, and counters must be monotone across two scrapes.
 #
 # The daemon runs with -log-format json throughout, so the log file the
@@ -130,6 +133,19 @@ if [ "$got" != "$ref" ]; then
   recovered: $got"
 fi
 echo "check_server: digests identical — kill -9 + restart lost nothing"
+
+# The digest above is the one the job recorded; the bytes a client reads
+# come from the result stream. Each {"l":[…],"r":[…]} line becomes
+# L=[…] R=[…], the -print format `mbe cat` writes.
+curl -fsS "$base/v1/jobs/$job_id/results" >"$work/stream.ndjson" || fail "result stream read failed"
+sed -e 's/^{"l":\[/L=[/' -e 's/\],"r":\[/] R=[/' -e 's/\]}$/]/' -e 's/,/ /g' "$work/stream.ndjson" \
+  | LC_ALL=C sort >"$work/stream.txt"
+"$mbe" cat "$work/ref.spool" | LC_ALL=C sort >"$work/ref.txt" || fail "reference spool did not replay"
+if ! cmp -s "$work/stream.txt" "$work/ref.txt"; then
+  fail "RESULT STREAM MISMATCH — the recovered job's stream differs from the reference spool
+$(diff "$work/ref.txt" "$work/stream.txt" | head -n 6)"
+fi
+echo "check_server: result stream identical to the reference spool ($(wc -l <"$work/ref.txt") lines)"
 
 # The trace id must have survived the crash: the restarted daemon reads
 # it back from the persisted manifest, not from any in-memory state.
