@@ -49,7 +49,7 @@ bench-parallel:
 check-dist:
 	$(GO) build -o mbecoord_bin ./cmd/mbecoord
 	$(GO) build -o mbe_bin ./cmd/mbe
-	bash scripts/check_dist.sh ./mbecoord_bin ./mbe_bin GH
+	bash scripts/check_dist.sh ./mbecoord_bin ./mbe_bin ceb
 	$(GO) test -race -count=1 ./internal/dist
 	rm -f mbecoord_bin mbe_bin
 

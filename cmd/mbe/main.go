@@ -1,7 +1,7 @@
 // Command mbe enumerates maximal bicliques in a bipartite graph, mirroring
 // the paper artifact's MBE_ALL tool:
 //
-//	mbe -i out.github -a ParAdaMBE -t 8 -o asc -tau 64
+//	mbe -i out.github -a ParAdaMBE -t 8 -o asc -tau 128
 //	mbe -d GH -a AdaMBE               # built-in synthetic dataset
 //	mbe -d BX -a FMBE -tle 30s        # competitor with a time budget
 //	mbe -d UL -print                  # print every maximal biclique
@@ -42,10 +42,14 @@ import (
 
 	mbe "repro"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/spool"
 )
+
+// tauUsage is the -tau help, with the default taken from core.DefaultTau.
+var tauUsage = fmt.Sprintf("bitmap threshold τ (0 = %d)", core.DefaultTau)
 
 // stdoutBufferBytes sizes the buffer -print, -minl/-minr and `mbe cat`
 // write their biclique lines through.
@@ -101,7 +105,7 @@ func main() {
 		dataset   = flag.String("d", "", "built-in synthetic dataset name (e.g. GH, BX, ceb, LJ30)")
 		algo      = flag.String("a", "AdaMBE", "algorithm: "+strings.Join(mbe.AlgorithmNames, "|"))
 		threads   = flag.Int("t", 0, "threads for parallel algorithms (0 = all cores)")
-		tau       = flag.Int("tau", 0, "bitmap threshold τ (0 = 64)")
+		tau       = flag.Int("tau", 0, tauUsage)
 		ord       = flag.String("o", "asc", "vertex ordering for the rooted engines: "+strings.Join(mbe.OrderingNames, "|"))
 		seed      = flag.Int64("seed", 0, "seed for -o rand")
 		tle       = flag.Duration("tle", 0, "time budget (0 = unlimited); partial count reported on expiry")

@@ -1,12 +1,29 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
+
+// TestTauUsageShowsDefault: the -tau help names the τ a zero -tau runs
+// with, core.DefaultTau, not a literal of its own.
+func TestTauUsageShowsDefault(t *testing.T) {
+	fs := flag.NewFlagSet("mbe", flag.ContinueOnError)
+	var help strings.Builder
+	fs.SetOutput(&help)
+	fs.Int("tau", 0, tauUsage)
+	fs.PrintDefaults()
+	if want := fmt.Sprintf("(0 = %d)", core.DefaultTau); !strings.Contains(help.String(), want) {
+		t.Fatalf("-tau help %q does not state the default %s", help.String(), want)
+	}
+}
 
 // TestAppendLineMatchesFmt pins the -print and `mbe cat` line format to
 // the bytes fmt's "L=%v R=%v\n" writes, which scripts compare lines

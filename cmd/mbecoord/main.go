@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/order"
@@ -50,7 +51,7 @@ func main() {
 		algo     = flag.String("a", "AdaMBE", "algorithm: "+strings.Join(engine.RootedNames(), "|"))
 		ord      = flag.String("o", "asc", "vertex ordering: "+strings.Join(order.Tags(), "|"))
 		seed     = flag.Int64("seed", 0, "seed for -o rand")
-		tau      = flag.Int("tau", 0, "bitmap threshold τ (0 = 64)")
+		tau      = flag.Int("tau", 0, fmt.Sprintf("bitmap threshold τ (0 = %d)", core.DefaultTau))
 		ranges   = flag.Int("ranges", 16, "number of root ranges to shard the run into")
 		leaseTTL = flag.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease heartbeat expiry")
 		durable  = flag.Bool("durable", false, "fsync the manifest directory on terminal state changes")

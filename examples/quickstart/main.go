@@ -33,7 +33,7 @@ func main() {
 
 	fmt.Printf("graph: %s\n\n", g.Stats())
 
-	// Enumerate with the default algorithm (serial AdaMBE, τ = 64,
+	// Enumerate with the default algorithm (serial AdaMBE, τ = 128,
 	// ascending-degree ordering). The callback's slices are reused by the
 	// engine — copy them if you keep them.
 	var found int

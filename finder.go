@@ -20,7 +20,7 @@ type FindResult = finder.Result
 type FindOptions struct {
 	// Threads > 1 searches with ParAdaMBE underneath.
 	Threads int
-	// Tau is AdaMBE's bitmap threshold; 0 = 64.
+	// Tau is AdaMBE's bitmap threshold; 0 = 128.
 	Tau int
 	// Deadline stops the search early, returning the best incumbent.
 	Deadline time.Time

@@ -16,12 +16,12 @@ package bitset
 // re-materialized) once per candidate as the Mask methods would.
 //
 // Every kernel is unswitched on the stride: widths 2, 3 and 4 words
-// (64 < τ ≤ 256, the configurable fast path) get dedicated inner loops
-// whose word operations are fully unrolled, other widths fall back to a
-// generic loop. One-word masks never get here in an enumeration: internal/
-// core searches them with its scalar specialization (searchBit1). The
-// dispatch happens once per call — once per candidate *block* — not once
-// per candidate.
+// (64 < |L*| ≤ 256; the default τ = 128 reaches width 2) get dedicated
+// inner loops whose word operations are fully unrolled, other widths fall
+// back to a generic loop. One-word masks never get here in an
+// enumeration: internal/core searches them with its scalar
+// specialization (searchBit1). The dispatch happens once per call — once
+// per candidate *block* — not once per candidate.
 
 // SmallStrideMax is the widest mask stride (in 64-bit words) with a
 // dedicated unrolled kernel; τ up to 64*SmallStrideMax stays on it.

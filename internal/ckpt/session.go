@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -168,7 +169,8 @@ func (s *Session) Stats() spool.Stats {
 // back through perm (the V permutation the engine ran under; nil for
 // identity). Root tags stay in ENGINE order — that is the order the
 // watermark and StartRoot live in — while stored vertex ids are
-// original-graph ids. Per-worker scratch keeps the hot path
+// original-graph ids. The mapped R is sorted in per-worker scratch, so
+// the writer encodes it without a second copy, and the hot path stays
 // allocation-free under unordered concurrent emission.
 func (s *Session) Sink(perm []int32, workers int) *Sink {
 	if workers < 1 {
@@ -194,6 +196,7 @@ func (k *Sink) Emit(worker int, root int32, L, R []int32) {
 		for _, v := range R {
 			m = append(m, k.perm[v])
 		}
+		slices.Sort(m)
 		k.scratch[worker%len(k.scratch)] = m
 		R = m
 	}

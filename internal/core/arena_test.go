@@ -81,9 +81,12 @@ func TestArenaDetachRoundTrip(t *testing.T) {
 // -race in CI, this is also the aliasing check for recycle-after-steal.
 func TestArenaParallelRecycling(t *testing.T) {
 	// Dense uniform: thousands of spawn offers, so every run sustains
-	// enough spawning for workers to re-spawn after recycling.
+	// enough spawning for workers to re-spawn after recycling. Its roots
+	// have about 78 neighbours, so the runs pin τ = 64: at the default τ
+	// every root would be promoted to a bitmap and none offered.
 	g := gen.Uniform(7, 500, 180, 14000)
-	want, _, err := CollectKeys(g, Options{Variant: Ada})
+	const tau = 64
+	want, _, err := CollectKeys(g, Options{Variant: Ada, Tau: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestArenaParallelRecycling(t *testing.T) {
 		var total Metrics
 		for rep := 0; rep < 3; rep++ {
 			var m Metrics
-			got, res, err := CollectKeys(g, Options{Variant: Ada, Threads: threads, Metrics: &m})
+			got, res, err := CollectKeys(g, Options{Variant: Ada, Tau: tau, Threads: threads, Metrics: &m})
 			if err != nil {
 				t.Fatalf("threads=%d: %v", threads, err)
 			}

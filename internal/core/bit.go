@@ -9,8 +9,9 @@ import (
 
 // bitCG is a bitmap-represented computational subgraph (§III-B): one
 // fixed-width bit mask per live V-side vertex, each bit addressing a member
-// of the L* set at bitmap-creation time. With the default τ = 64 every mask
-// is a single uint64 and each intersection is one AND, as in the paper.
+// of the L* set at bitmap-creation time. A CG whose |L*| ≤ 64 has one-word
+// masks, and each intersection is one AND, as in the paper; at the default
+// τ = 128 a CG of up to 128 vertices has two-word masks.
 // A bitCG is created once at a node with |L*| ≤ τ, C* ≠ ∅ and reused by
 // the entire subtree. Bitmap subtrees never nest, so each engine owns a
 // single bitCG whose storage is recycled across creations (reset), keeping
@@ -209,12 +210,13 @@ func (e *engine) buildBitCGGlobal(L, R, cand []int32) *bitCG {
 
 // searchBitRoot seeds the bitwise procedure over a freshly built bitmap CG:
 // L = all of L*, candidates and excluded vertices as laid out by the
-// builder. The overwhelmingly common case — τ ≤ 64, every mask one machine
-// word — dispatches to the scalar specialization searchBit1, realizing the
-// paper's "each set intersection is a single bitwise AND between two
-// 64-bit integers". Wider masks (τ up to 64·bitset.SmallStrideMax on the
-// unrolled kernels, beyond that on a generic word loop) run searchBitPacked
-// over the CG's packed mask storage.
+// builder. The overwhelmingly common case — |L*| ≤ 64, every mask one
+// machine word — dispatches to the scalar specialization searchBit1,
+// realizing the paper's "each set intersection is a single bitwise AND
+// between two 64-bit integers". Wider masks run searchBitPacked over the
+// CG's packed mask storage. At the default τ = 128 a root of up to 128
+// neighbours has two-word masks; up to 64·bitset.SmallStrideMax bits run
+// the unrolled kernels, and wider masks a generic word loop.
 func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
 	mark := e.ids.Mark()
 	cand := e.ids.Alloc(cg.nCand)

@@ -73,11 +73,12 @@ func (c *checkedFrontier) smallestUnfinished() int32 {
 }
 
 // runCursor runs workers goroutines over one cursor, each with its own
-// stopper on one shared stop state, expanding roots with expand. It
+// stopper on one shared stop state, expanding roots with expand, which
+// is handed that shared state. It
 // fails the test unless every goroutine sees its roots in ascending
 // order and no root is handed out twice, and returns how many times
 // each root was handed out.
-func runCursor(t *testing.T, rc *RootCursor, end int32, workers int, expand func(r int32, stop *tle.Stopper)) []int {
+func runCursor(t *testing.T, rc *RootCursor, end int32, workers int, expand func(r int32, shared *tle.Shared)) []int {
 	t.Helper()
 	shared := &tle.Shared{}
 	got := make([][]int32, workers)
@@ -89,7 +90,7 @@ func runCursor(t *testing.T, rc *RootCursor, end int32, workers int, expand func
 			stop := tle.NewStopper(shared, tle.Config{})
 			rc.Run(&stop, func(r int32) {
 				got[w] = append(got[w], r)
-				expand(r, &stop)
+				expand(r, shared)
 			})
 		}()
 	}
@@ -116,7 +117,7 @@ func runCursor(t *testing.T, rc *RootCursor, end int32, workers int, expand func
 func TestRootClaimsFrontier(t *testing.T) {
 	const start, end, workers = 7, 1500, 8
 	fr := newCheckedFrontier(t, start, end)
-	seen := runCursor(t, NewRootCursor(&Options{StartRoot: start, EndRoot: end, Frontier: fr}, end), end, workers, func(int32, *tle.Stopper) {})
+	seen := runCursor(t, NewRootCursor(&Options{StartRoot: start, EndRoot: end, Frontier: fr}, end), end, workers, func(int32, *tle.Shared) {})
 	for r := int32(0); r < end; r++ {
 		if want := btoi(r >= start); seen[r] != want {
 			t.Errorf("root %d handed out %d times, want %d", r, seen[r], want)
@@ -129,13 +130,14 @@ func TestRootClaimsFrontier(t *testing.T) {
 
 // TestRootClaimStoppedFreezes: a root whose expansion stops the run ends
 // not done, every worker winds down, and the watermark freezes where it
-// stood, at or below that root.
+// stood, at or below that root. The expansion trips the run's Shared, as
+// a canceled context does; the cursor's forced Poll then sees the stop.
 func TestRootClaimStoppedFreezes(t *testing.T) {
 	const start, end, workers, stopAt = 0, 1500, 8, 600
 	fr := newCheckedFrontier(t, start, end)
-	runCursor(t, NewRootCursor(&Options{Frontier: fr}, end), end, workers, func(r int32, stop *tle.Stopper) {
+	runCursor(t, NewRootCursor(&Options{Frontier: fr}, end), end, workers, func(r int32, shared *tle.Shared) {
 		if r == stopAt {
-			stop.Fail(tle.Canceled)
+			shared.Trip(tle.Canceled)
 		}
 	})
 	if !fr.fr.Frozen() {
@@ -316,8 +318,9 @@ func cgLists(t *testing.T, cg *bitCG, lq []int32) (cand []int32, candNbrs [][]in
 // from e.cg, with SkipSubtree returning true, and decoded into lists, so
 // vids must be the candidates in ascending order followed by the excluded
 // vertices in first-visit order, nCand must count the candidates, and each
-// mask must be the local neighborhood as bits of N(vp). At τ = 128 the
-// over64 graph's roots above 64 neighbours build two-word masks.
+// mask must be the local neighborhood as bits of N(vp). The "Ada" rows
+// run at the paper's τ = 64, so that the over64 graph's roots above 64
+// neighbours are checked as lists there and as two-word masks at τ = 128.
 //
 // The record is pre-seeded with entries both below and above each root,
 // so both walks over N(vp) meet skipped vertices, and the roots run in a
@@ -341,7 +344,7 @@ func TestLNRootBuild(t *testing.T) {
 		name    string
 		variant Variant
 		tau     int
-	}{{"LN", LN, 0}, {"Ada", Ada, 0}, {"Ada-tau2", Ada, 2}, {"Ada-tau128", Ada, 128}}
+	}{{"LN", LN, 0}, {"Ada", Ada, 64}, {"Ada-tau2", Ada, 2}, {"Ada-tau128", Ada, 128}}
 	scanned := map[bool]int{} // suffixes of two or more, by ordering branch
 	lists := map[string]int{} // roots checked as lists, by config
 	masks := map[string]int{} // roots checked as a bitmap CG, by config

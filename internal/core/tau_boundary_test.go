@@ -87,3 +87,44 @@ func TestTauWordBoundariesAgainstOracle(t *testing.T) {
 		t.Fatalf("tau=256 on nu=340 built only 1-word bitmaps: hist %v", m.BitWidthHist)
 	}
 }
+
+// TestDefaultTauPromotesTwoWordRoots: at the default τ, a maximal root
+// with 65–128 neighbours goes straight from its wedge walk into one
+// two-word bitmap, and no searchLN node runs below it (SiteNode fires
+// once per searchLN child). At the paper's τ = 64 the same roots run
+// searchLN, so the fixture does reach the path the default skips.
+func TestDefaultTauPromotesTwoWordRoots(t *testing.T) {
+	g := denseBipartite(t, 11, 150, 10, 0.6) // deg(v) ≈ 90
+	for v := int32(0); v < int32(g.NV()); v++ {
+		if d := g.DegV(v); d <= 64 || d > 128 {
+			t.Fatalf("fixture root %d has %d neighbours, want 65–128", v, d)
+		}
+	}
+	want := BruteForceKeys(g)
+	lnNodes := func(tau int) (int, Metrics) {
+		t.Helper()
+		var m Metrics
+		nodes := 0
+		got, _, err := CollectKeys(g, Options{Variant: Ada, Tau: tau, Metrics: &m, FaultHook: func(site string) error {
+			if site == SiteNode {
+				nodes++
+			}
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !keysEqual(got, want) {
+			t.Fatalf("tau=%d: %d bicliques differ from the oracle's %d", tau, len(got), len(want))
+		}
+		return nodes, m
+	}
+	nodes, m := lnNodes(0)
+	if nodes != 0 || m.BitWidthHist[1] == 0 || m.BitWidthHist[1] != m.BitmapsCreated {
+		t.Fatalf("default τ = %d: %d searchLN nodes, bitmaps %d by width %v; want no searchLN node and every bitmap two words wide",
+			DefaultTau, nodes, m.BitmapsCreated, m.BitWidthHist)
+	}
+	if nodes, _ := lnNodes(64); nodes == 0 {
+		t.Fatal("τ = 64 ran no searchLN node: the fixture does not reach the path the default skips")
+	}
+}

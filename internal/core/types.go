@@ -53,9 +53,14 @@ func (v Variant) String() string {
 	}
 }
 
-// DefaultTau is the paper's default bitmap threshold τ (§III-B: one 64-bit
-// word per set intersection).
-const DefaultTau = 64
+// DefaultTau is the bitmap threshold τ of the AdaMBE family when Options
+// leave it zero. The paper picks 64 (§III-B, Fig. 11) because its cost
+// model pads every mask to ⌈τ/64⌉ words. Here each mask is sized to its
+// own |L*|, so a larger τ costs a node nothing while its |L*| ≤ 64, and a
+// root of up to 128 neighbours goes straight from its wedge walk into one
+// two-word bitmap instead of through searchLN. EXPERIMENTS.md, Fig. 11,
+// records the sweep that picked 128.
+const DefaultTau = 128
 
 // MaxTau bounds configurable τ; masks are ⌈τ/64⌉ words.
 const MaxTau = 4096

@@ -36,7 +36,7 @@ func (b Biclique) Vertices() int { return len(b.L) + len(b.R) }
 type Options struct {
 	// Threads > 1 uses ParAdaMBE underneath.
 	Threads int
-	// Tau is AdaMBE's bitmap threshold; 0 = 64.
+	// Tau is AdaMBE's bitmap threshold; 0 = core.DefaultTau (128).
 	Tau int
 	// Deadline stops the search early, returning the best incumbent found
 	// (Result.TimedOut set).

@@ -1,11 +1,15 @@
 package spool
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,6 +92,76 @@ func TestRoundTrip(t *testing.T) {
 	st := w.Stats()
 	if st.Records != 3 || st.Frames == 0 || st.Bytes == 0 {
 		t.Errorf("writer stats = %+v", st)
+	}
+}
+
+// TestEmitLeavesCallerSides: Emit never writes to the caller's slices.
+// Sides that are already ascending are encoded in place and unsorted ones
+// through a sorted copy, and both replay sorted. The shard bytes equal
+// those of the same records emitted pre-sorted, and a pinned digest, so a
+// writer change that alters the encoding of existing records fails here.
+func TestEmitLeavesCallerSides(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var recs []rec
+	for i := 0; i < 400; i++ {
+		side := func() []int32 {
+			ids := rng.Perm(300)[:1+rng.Intn(40)]
+			s := make([]int32, len(ids))
+			for j, id := range ids {
+				s[j] = int32(id)
+			}
+			if rng.Intn(2) == 0 {
+				slices.Sort(s)
+			}
+			return s
+		}
+		recs = append(recs, rec{int32(i / 3), side(), side()})
+	}
+	write := func(presort bool) []byte {
+		dir := t.TempDir()
+		w, err := Create(dir, testMeta(1, false), WriterOptions{TargetFrameBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			L, R := slices.Clone(r.L), slices.Clone(r.R)
+			if presort {
+				slices.Sort(L)
+				slices.Sort(R)
+			}
+			w.Emit(0, r.root, L, R)
+			if !presort && (!eqSlice(L, r.L) || !eqSlice(R, r.R)) {
+				t.Fatalf("Emit rewrote the caller's sides: L %v → %v, R %v → %v", r.L, L, r.R, R)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := collect(t, dir)
+		if len(got) != len(recs) {
+			t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+		}
+		for i, g := range got {
+			L, R := slices.Clone(recs[i].L), slices.Clone(recs[i].R)
+			slices.Sort(L)
+			slices.Sort(R)
+			if g.root != recs[i].root || !eqSlice(g.L, L) || !eqSlice(g.R, R) {
+				t.Fatalf("record %d replayed as %+v, want root %d L=%v R=%v", i, g, recs[i].root, L, R)
+			}
+		}
+		b, err := os.ReadFile(filepath.Join(dir, ShardName(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	mixed, sorted := write(false), write(true)
+	if !bytes.Equal(mixed, sorted) {
+		t.Fatal("shard bytes depend on whether the caller's sides were sorted")
+	}
+	const want = "640243d9232fff3c363e4965dc330b125748f78330abdc5101d6a035b6f34f7f"
+	if got := fmt.Sprintf("%x", sha256.Sum256(mixed)); got != want {
+		t.Fatalf("shard digest %s, want %s: the encoding of this fixture changed", got, want)
 	}
 }
 

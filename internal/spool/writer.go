@@ -143,9 +143,11 @@ func newShardWriter(w *Writer, idx int, f *os.File, offset int64) *shardWriter {
 	return s
 }
 
-// Emit appends one biclique to worker's shard. Sides are copied (and
-// sorted if needed) before encoding, so the caller may reuse its
-// slices immediately — the same contract as an OnBiclique handler.
+// Emit appends one biclique to worker's shard. A side already in
+// ascending order is encoded in place; only an unsorted one is copied
+// into the shard's scratch and sorted. The encoder keeps no reference to
+// either side, and Emit never writes to them, so the caller may reuse
+// its slices immediately — the same contract as an OnBiclique handler.
 // After the first write error Emit is a no-op; see Err.
 func (w *Writer) Emit(worker int, root int32, L, R []int32) {
 	if w.err.Load() != nil {
@@ -154,19 +156,22 @@ func (w *Writer) Emit(worker int, root int32, L, R []int32) {
 	s := w.shards[worker%len(w.shards)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sortL = sortedCopy(s.sortL, L)
-	s.sortR = sortedCopy(s.sortR, R)
-	if err := s.enc.add(root, s.sortL, s.sortR); err != nil {
+	L = ascending(&s.sortL, L)
+	R = ascending(&s.sortR, R)
+	if err := s.enc.add(root, L, R); err != nil {
 		w.fail(err)
 	}
 }
 
-func sortedCopy(dst, src []int32) []int32 {
-	dst = append(dst[:0], src...)
-	if !slices.IsSorted(dst) {
-		slices.Sort(dst)
+// ascending returns side itself when it is already ascending, and
+// otherwise a sorted copy of it in *scratch.
+func ascending(scratch *[]int32, side []int32) []int32 {
+	if slices.IsSorted(side) {
+		return side
 	}
-	return dst
+	*scratch = append((*scratch)[:0], side...)
+	slices.Sort(*scratch)
+	return *scratch
 }
 
 // flushLocked cuts the open frame and writes it to the shard file.

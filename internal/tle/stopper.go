@@ -229,9 +229,6 @@ func (s *Stopper) fail(r Reason) {
 	s.shared.Trip(r)
 }
 
-// Fail force-stops the worker outside the Hit cadence.
-func (s *Stopper) Fail(r Reason) { s.fail(r) }
-
 // Fault runs the fault hook at an engine instrumentation site and reports
 // whether it failed. A failure is a simulated allocation failure: the
 // worker stops with MemoryExceeded, as if the memory budget were
@@ -250,7 +247,8 @@ func (s *Stopper) fault(site string) bool {
 	return false
 }
 
-// Stopped reports whether a previous Hit (or Fail) stopped the worker.
+// Stopped reports whether a previous Hit, Poll or failed Fault stopped the
+// worker.
 func (s *Stopper) Stopped() bool { return s.reason != None }
 
 // Reason returns the worker's local stop reason (None while running).

@@ -184,9 +184,8 @@ func TestSharedTripFirstReasonWins(t *testing.T) {
 
 func TestStopperObservesSiblingTrip(t *testing.T) {
 	shared := &Shared{}
-	a := NewStopper(shared, Config{})
 	b := NewStopper(shared, Config{})
-	a.Fail(Aborted) // e.g. a's task panicked
+	shared.Trip(Aborted) // e.g. a sibling's task panicked
 	if !b.Hit() {
 		t.Fatal("sibling stopper did not observe the trip on first Hit")
 	}
@@ -196,10 +195,10 @@ func TestStopperObservesSiblingTrip(t *testing.T) {
 }
 
 func TestStopperFailIsSticky(t *testing.T) {
-	s := NewStopper(&Shared{}, Config{})
-	s.Fail(MemoryExceeded)
+	s := NewStopper(&Shared{}, Config{FaultHook: func(string) error { return errors.New("injected") }})
+	s.Fault("site")
 	if !s.Stopped() || !s.Hit() || s.Reason() != MemoryExceeded {
-		t.Fatalf("Fail not sticky: Stopped=%v Reason=%v", s.Stopped(), s.Reason())
+		t.Fatalf("failed fault step not sticky: Stopped=%v Reason=%v", s.Stopped(), s.Reason())
 	}
 }
 

@@ -15,7 +15,10 @@
 #   4. Wait for the coordinator to print the global digest and compare.
 #
 # A machine fast enough to finish before the kill lands is tolerated:
-# the kill is then a no-op and the digests must still match.
+# the kill is then a no-op and the digests must still match. The script
+# prints whether the kill hit a live worker. CI and `make check-dist` run
+# it on ceb, where the three workers are still busy after the default 1 s;
+# GH can finish first.
 set -u
 
 coord_bin="${1:?usage: check_dist.sh <mbecoord-binary> <mbe-binary> <dataset> [kill_after_s]}"
@@ -59,8 +62,15 @@ for i in 1 2 3; do
 done
 
 sleep "$kill_after"
-echo "check_dist: kill -9 worker w2 (pid ${workers[1]})"
-kill -9 "${workers[1]}" 2>/dev/null || true
+kill -9 "${workers[1]}" 2>/dev/null
+# A worker the kill reached exits by SIGKILL (status 128+9); one that had
+# already finished its leases reports its own exit status.
+wait "${workers[1]}" 2>/dev/null
+if [ $? -eq 137 ]; then
+  echo "check_dist: kill -9 hit live worker w2 (pid ${workers[1]}) mid-run"
+else
+  echo "check_dist: kill -9 missed: worker w2 (pid ${workers[1]}) had already exited, so no lease of its was re-issued"
+fi
 
 # Liveness while the run heals: /metrics must keep serving the dist
 # families (values are timing-dependent, presence is not).
