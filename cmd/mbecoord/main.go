@@ -35,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/order"
 )
 
@@ -147,7 +148,7 @@ func main() {
 	} else {
 		<-ctx.Done()
 	}
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer shutCancel()
-	srv.Shutdown(shutCtx) //nolint:errcheck // exiting anyway; manifest is already durable
+	// The manifest is already durable: draining only lets in-flight
+	// requests finish.
+	obs.ShutdownServer(srv, obs.ShutdownTimeout)
 }

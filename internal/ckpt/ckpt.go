@@ -54,11 +54,7 @@ type Checkpoint struct {
 // the previous checkpoint or this one under checkpoint.json, never a
 // torn file.
 func (c Checkpoint) Write(dir string, durable bool) error {
-	blob, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	return spool.AtomicWriteFile(filepath.Join(dir, spool.CheckpointFile), append(blob, '\n'), durable)
+	return spool.WriteJSON(filepath.Join(dir, spool.CheckpointFile), c, durable)
 }
 
 // CorruptError reports a checkpoint.json whose bytes do not decode to a

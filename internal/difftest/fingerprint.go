@@ -15,8 +15,10 @@
 package difftest
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // mix64 is SplitMix64's finalizer: a cheap, well-dispersed 64-bit mixer.
@@ -115,4 +117,50 @@ func (d Digest) Equal(o Digest) bool {
 // String renders the digest compactly for failure messages.
 func (d Digest) String() string {
 	return fmt.Sprintf("{n=%d sum=%016x xor=%016x fold=%016x}", d.Count, d.Sum, d.Xor, d.Fold)
+}
+
+// digestJSON is a Digest's JSON form, in dist frames, the coordinator's
+// manifest and its progress answer. The three uint64 folds are hex
+// strings: JSON numbers round-trip through float64 in most decoders and
+// silently lose bits above 2^53, which for a digest means false "equal"
+// or false "different" — unacceptable either way.
+type digestJSON struct {
+	Count int64  `json:"count"`
+	Sum   string `json:"sum"`
+	Xor   string `json:"xor"`
+	Fold  string `json:"fold"`
+}
+
+// MarshalJSON writes {"count","sum","xor","fold"} with each fold as 16
+// hex digits.
+func (d Digest) MarshalJSON() ([]byte, error) {
+	return json.Marshal(digestJSON{
+		Count: d.Count,
+		Sum:   fmt.Sprintf("%016x", d.Sum),
+		Xor:   fmt.Sprintf("%016x", d.Xor),
+		Fold:  fmt.Sprintf("%016x", d.Fold),
+	})
+}
+
+// UnmarshalJSON reads the form MarshalJSON writes; a fold that is not
+// hex fails the decode.
+func (d *Digest) UnmarshalJSON(b []byte) error {
+	var j digestJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	sum, err := strconv.ParseUint(j.Sum, 16, 64)
+	if err != nil {
+		return fmt.Errorf("difftest: bad digest sum %q: %w", j.Sum, err)
+	}
+	xor, err := strconv.ParseUint(j.Xor, 16, 64)
+	if err != nil {
+		return fmt.Errorf("difftest: bad digest xor %q: %w", j.Xor, err)
+	}
+	fold, err := strconv.ParseUint(j.Fold, 16, 64)
+	if err != nil {
+		return fmt.Errorf("difftest: bad digest fold %q: %w", j.Fold, err)
+	}
+	*d = Digest{Count: j.Count, Sum: sum, Xor: xor, Fold: fold}
+	return nil
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -85,6 +86,63 @@ func TestDigestCommutativeAndMergeable(t *testing.T) {
 	}
 	if !forward.Equal(merged) {
 		t.Fatalf("sharded merge diverges: %s vs %s", forward, merged)
+	}
+}
+
+// TestDigestJSONRoundTrip: a Digest survives json.Marshal and
+// json.Unmarshal bit for bit, folds above 2^53 included, and a fold that
+// is not hex fails the decode.
+func TestDigestJSONRoundTrip(t *testing.T) {
+	var added Digest
+	for _, fp := range []uint64{1, 2, 3} {
+		added.Add(fp)
+	}
+	for _, d := range []Digest{
+		{},
+		added,
+		{Count: 1 << 40, Sum: ^uint64(0), Xor: 1, Fold: 0x8000000000000000},
+	} {
+		blob, err := json.Marshal(d)
+		if err != nil {
+			t.Fatalf("marshal %v: %v", d, err)
+		}
+		var got Digest
+		if err := json.Unmarshal(blob, &got); err != nil {
+			t.Fatalf("round-trip %v through %s: %v", d, blob, err)
+		}
+		if got != d {
+			t.Errorf("round-trip %v -> %s -> %v", d, blob, got)
+		}
+	}
+	for _, bad := range []string{
+		`{"count":0,"sum":"zz","xor":"0","fold":"0"}`,
+		`{"count":0,"sum":"0","xor":"","fold":"0"}`,
+		`{"count":0,"sum":"0","xor":"0","fold":"not hex"}`,
+	} {
+		var d Digest
+		if err := json.Unmarshal([]byte(bad), &d); err == nil {
+			t.Errorf("Unmarshal(%s) accepted bad hex: %v", bad, d)
+		}
+	}
+}
+
+// TestDigestJSONGolden pins the wire form byte for byte. Dist frames,
+// the coordinator's manifest and its progress answer carry it, so a
+// change here would make this build unable to read the manifests that
+// earlier builds wrote or to talk to their workers.
+func TestDigestJSONGolden(t *testing.T) {
+	d := Digest{Count: 3, Sum: 0x0123456789abcdef, Xor: 0xfedcba9876543210, Fold: 1}
+	const want = `{"count":3,"sum":"0123456789abcdef","xor":"fedcba9876543210","fold":"0000000000000001"}`
+	blob, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != want {
+		t.Errorf("json.Marshal(%v) = %s, want %s", d, blob, want)
+	}
+	var got Digest
+	if err := json.Unmarshal([]byte(want), &got); err != nil || got != d {
+		t.Errorf("json.Unmarshal(%s) = %v, %v; want %v", want, got, err, d)
 	}
 }
 

@@ -341,12 +341,11 @@ func TestResumeAtRangeEndSealsWithoutEnumerating(t *testing.T) {
 
 	// Attempt 1 streams the whole range as one wm frame, then dies
 	// before the done frame: watermark == end, state still leased.
-	if _, ok := c.grantLease("crashed"); !ok {
-		t.Fatal("no lease granted")
+	if _, ok, err := c.grantLease("crashed"); err != nil || !ok {
+		t.Fatalf("no lease granted: %v", err)
 	}
 	end := int32(g.NV())
-	dj := ToJSON(want)
-	if err := c.acceptFrame(0, 1, "crashed", Frame{Type: "wm", From: 0, To: end, Delta: &dj}); err != nil {
+	if err := c.acceptFrame(0, 1, "crashed", Frame{Type: "wm", From: 0, To: end, Delta: &want}); err != nil {
 		t.Fatal(err)
 	}
 	c.now = func() time.Time { return time.Now().Add(2 * time.Minute) }

@@ -110,16 +110,12 @@ func NewCoordinator(opts CoordOptions) (*Coordinator, error) {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	log := opts.Log
-	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
-	}
 	c := &Coordinator{
 		spec:     opts.Spec,
 		dir:      opts.Dir,
 		ttl:      ttl,
 		durable:  opts.Durable,
-		log:      log,
+		log:      obs.Logger(opts.Log),
 		now:      time.Now,
 		start:    time.Now(),
 		interval: ttl / 4,
@@ -137,14 +133,10 @@ func NewCoordinator(opts CoordOptions) (*Coordinator, error) {
 			return nil, err
 		}
 		for _, r := range m.Ranges {
-			d, err := FromJSON(r.Digest)
-			if err != nil {
-				return nil, fmt.Errorf("dist: manifest range %d: %w", r.ID, err)
-			}
 			st := &rangeState{
 				id: r.ID, start: r.Start, end: r.End,
 				state: r.State, attempt: r.Attempt,
-				watermark: r.Watermark, digest: d,
+				watermark: r.Watermark, digest: r.Digest,
 			}
 			// Recovery: nobody holds a lease across a coordinator
 			// restart. The attempt counter is preserved so the next grant
@@ -264,8 +256,9 @@ func (c *Coordinator) expireLeases() {
 	}
 }
 
-// initMetrics registers the coordinator's metric families. Gauge
-// functions read the ledger at scrape time so nothing can drift.
+// initMetrics registers the coordinator's metric families. The gauges
+// read one Progress snapshot at scrape time, so they cannot drift from
+// it or from each other's ledger walk.
 func (c *Coordinator) initMetrics() {
 	c.reg = obs.NewRegistry()
 	c.leasesExpired = c.reg.NewCounter("dist_leases_expired_total",
@@ -276,52 +269,19 @@ func (c *Coordinator) initMetrics() {
 		"Stream frames rejected by attempt fencing or interval checks.")
 	c.wmFrames = c.reg.NewCounter("dist_watermark_frames_total",
 		"Watermark frames accepted and merged into range digests.")
-	c.reg.NewGaugeFunc("dist_leases_outstanding",
-		"Ranges currently leased to a worker.", func() int64 {
-			return c.countState(stateLeased)
-		})
-	c.reg.NewGaugeFunc("dist_ranges_done",
-		"Ranges fully enumerated and merged.", func() int64 {
-			return c.countState(stateDone)
-		})
-	c.reg.NewGaugeFunc("dist_ranges_total",
-		"Root ranges the run was split into.", func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return int64(len(c.ranges))
-		})
-	c.reg.NewGaugeFunc("dist_roots_done",
-		"Roots below some range's confirmed watermark.", func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			var n int64
-			for _, r := range c.ranges {
-				n += int64(r.watermark - r.start)
-			}
-			return n
-		})
-	c.reg.NewGaugeFunc("dist_bicliques_total",
-		"Maximal bicliques confirmed across all range watermarks.", func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			var n int64
-			for _, r := range c.ranges {
-				n += r.digest.Count
-			}
-			return n
-		})
-}
-
-func (c *Coordinator) countState(s string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, r := range c.ranges {
-		if r.state == s {
-			n++
-		}
+	gauge := func(name, help string, read func(Progress) int64) {
+		c.reg.NewGaugeFunc(name, help, func() int64 { return read(c.Progress()) })
 	}
-	return n
+	gauge("dist_leases_outstanding", "Ranges currently leased to a worker.",
+		func(p Progress) int64 { return int64(p.LeasesOutstanding) })
+	gauge("dist_ranges_done", "Ranges fully enumerated and merged.",
+		func(p Progress) int64 { return int64(p.RangesDone) })
+	gauge("dist_ranges_total", "Root ranges the run was split into.",
+		func(p Progress) int64 { return int64(p.RangesTotal) })
+	gauge("dist_roots_done", "Roots below some range's confirmed watermark.",
+		func(p Progress) int64 { return p.RootsDone })
+	gauge("dist_bicliques_total", "Maximal bicliques confirmed across all range watermarks.",
+		func(p Progress) int64 { return p.Bicliques })
 }
 
 // persistLocked writes the manifest. Callers hold c.mu. durable
@@ -337,15 +297,14 @@ func (c *Coordinator) persistLocked(durable bool) error {
 		Ranges:     make([]rangeJSON, len(c.ranges)),
 	}
 	if c.complete {
-		g := ToJSON(c.global)
-		m.Global = &g
+		m.Global = &c.global
 	}
 	for i, r := range c.ranges {
 		m.Ranges[i] = rangeJSON{
 			ID: r.id, Start: r.start, End: r.end,
 			State: r.state, Attempt: r.attempt,
 			Watermark: r.watermark, Worker: r.worker,
-			Digest: ToJSON(r.digest),
+			Digest: r.digest,
 		}
 	}
 	durable = durable && c.durable
@@ -379,38 +338,44 @@ func (c *Coordinator) finishLocked() {
 	close(c.doneCh)
 }
 
-// grantLease hands the lowest-id pending range to worker. The second
-// return distinguishes "nothing pending right now" (retry later) from
-// "the run is complete" via Progress.
-func (c *Coordinator) grantLease(worker string) (Lease, bool) {
+// grantLease hands the lowest-id pending range to worker. ok is false
+// when nothing is pending right now (retry later, or the run is
+// complete: see Progress). A grant whose manifest write fails is not
+// made: the range goes back to pending as it was, and the error is
+// returned.
+func (c *Coordinator) grantLease(worker string) (lease Lease, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range c.ranges {
 		if r.state != statePending {
 			continue
 		}
+		prev := *r
 		r.state = stateLeased
 		r.attempt++
 		r.worker = worker
 		r.lastBeat = c.now()
 		r.attemptD = difftest.Digest{}
-		if r.attempt > 1 {
-			c.leasesReissued.Inc()
-		}
 		// Persist BEFORE the grant leaves the lock: if the coordinator
 		// dies after the worker learns the lease but before the attempt
 		// counter is durable, a recovered coordinator could re-grant the
 		// same attempt number and the fencing token would alias.
-		c.persistLocked(true) //nolint:errcheck // on write failure the lease still fences in-memory
+		if err := c.persistLocked(true); err != nil {
+			*r = prev
+			return Lease{}, false, err
+		}
+		if r.attempt > 1 {
+			c.leasesReissued.Inc()
+		}
 		c.log.Info("dist_lease_granted", "range", r.id, "worker", worker,
 			"attempt", r.attempt, "resume", r.watermark, "end", r.end)
 		return Lease{
 			RangeID: r.id, Attempt: r.attempt,
 			Start: r.start, Resume: r.watermark, End: r.end,
 			TTLMS: c.ttl.Milliseconds(),
-		}, true
+		}, true, nil
 	}
-	return Lease{}, false
+	return Lease{}, false, nil
 }
 
 // acceptFrame applies one stream frame under the ledger lock. A nil
@@ -443,11 +408,7 @@ func (c *Coordinator) acceptFrame(rangeID, attempt int, worker string, f Frame) 
 			c.framesRejected.Inc()
 			return fmt.Errorf("%s frame without delta", f.Type)
 		}
-		delta, err := FromJSON(*f.Delta)
-		if err != nil {
-			c.framesRejected.Inc()
-			return err
-		}
+		delta := *f.Delta
 		// Contiguity: deltas must tile [resume, end) exactly. From must
 		// equal the confirmed watermark — anything else double-merges or
 		// leaves a hole. One exception: a done frame may be EMPTY
@@ -470,21 +431,16 @@ func (c *Coordinator) acceptFrame(rangeID, attempt int, worker string, f Frame) 
 				c.framesRejected.Inc()
 				return errors.New("done frame without total")
 			}
-			total, err := FromJSON(*f.Total)
-			if err != nil {
-				c.framesRejected.Inc()
-				return err
-			}
 			// Cross-check before any merge: the attempt's deltas plus
 			// this one must reproduce the worker's own total. A mismatch
 			// means a frame was lost or reordered — reject and let the
 			// lease expire into a clean re-issue.
 			check := r.attemptD
 			check.Merge(delta)
-			if !check.Equal(total) {
+			if !check.Equal(*f.Total) {
 				c.framesRejected.Inc()
 				return fmt.Errorf("attempt digest mismatch for range %d: merged %v, worker total %v",
-					rangeID, check, total)
+					rangeID, check, *f.Total)
 			}
 		}
 		r.digest.Merge(delta)
@@ -513,16 +469,16 @@ func (c *Coordinator) acceptFrame(rangeID, attempt int, worker string, f Frame) 
 // Progress is the coordinator's public progress snapshot
 // (GET /dist/v1/progress).
 type Progress struct {
-	RootsDone         int64       `json:"roots_done"`
-	RootsTotal        int64       `json:"roots_total"`
-	RangesDone        int         `json:"ranges_done"`
-	RangesTotal       int         `json:"ranges_total"`
-	LeasesOutstanding int         `json:"leases_outstanding"`
-	Bicliques         int64       `json:"bicliques"`
-	Complete          bool        `json:"complete"`
-	ElapsedMS         int64       `json:"elapsed_ms"`
-	EtaMS             int64       `json:"eta_ms,omitempty"`
-	Digest            *DigestJSON `json:"digest,omitempty"`
+	RootsDone         int64            `json:"roots_done"`
+	RootsTotal        int64            `json:"roots_total"`
+	RangesDone        int              `json:"ranges_done"`
+	RangesTotal       int              `json:"ranges_total"`
+	LeasesOutstanding int              `json:"leases_outstanding"`
+	Bicliques         int64            `json:"bicliques"`
+	Complete          bool             `json:"complete"`
+	ElapsedMS         int64            `json:"elapsed_ms"`
+	EtaMS             int64            `json:"eta_ms,omitempty"`
+	Digest            *difftest.Digest `json:"digest,omitempty"`
 }
 
 // Progress snapshots run progress with a crude rate-based ETA.
@@ -548,7 +504,7 @@ func (c *Coordinator) Progress() Progress {
 		p.EtaMS = time.Duration(perRoot * float64(p.RootsTotal-p.RootsDone)).Milliseconds()
 	}
 	if c.complete {
-		g := ToJSON(c.global)
+		g := c.global
 		p.Digest = &g
 	}
 	return p
@@ -582,17 +538,11 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away
-}
-
 func (c *Coordinator) handleConfig(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	n := len(c.ranges)
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, Config{
+	obs.WriteJSON(w, http.StatusOK, Config{
 		Version: ProtocolVersion, Spec: c.spec,
 		Ranges: n, LeaseTTLMS: c.ttl.Milliseconds(),
 	})
@@ -601,11 +551,18 @@ func (c *Coordinator) handleConfig(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, streamResult{Reason: "bad lease request: " + err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, streamResult{Reason: "bad lease request: " + err.Error()})
 		return
 	}
-	if lease, ok := c.grantLease(req.Worker); ok {
-		writeJSON(w, http.StatusOK, lease)
+	lease, ok, err := c.grantLease(req.Worker)
+	if err != nil {
+		// The grant was not persisted, so it was not made; the worker's
+		// control call retries.
+		obs.WriteJSON(w, http.StatusServiceUnavailable, streamResult{Reason: "lease not persisted: " + err.Error()})
+		return
+	}
+	if ok {
+		obs.WriteJSON(w, http.StatusOK, lease)
 		return
 	}
 	c.mu.Lock()
@@ -613,7 +570,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	if complete {
 		// 410 Gone: the run is over, workers should exit.
-		writeJSON(w, http.StatusGone, streamResult{OK: true, Reason: "run complete"})
+		obs.WriteJSON(w, http.StatusGone, streamResult{OK: true, Reason: "run complete"})
 		return
 	}
 	// Nothing pending (every remaining range is leased): poll again.
@@ -623,12 +580,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	rangeID, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, streamResult{Reason: "bad range id"})
+		obs.WriteJSON(w, http.StatusBadRequest, streamResult{Reason: "bad range id"})
 		return
 	}
 	attempt, err := strconv.Atoi(r.URL.Query().Get("attempt"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, streamResult{Reason: "bad attempt"})
+		obs.WriteJSON(w, http.StatusBadRequest, streamResult{Reason: "bad attempt"})
 		return
 	}
 	worker := r.URL.Query().Get("worker")
@@ -642,23 +599,23 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 				// range is sealed; otherwise the worker went away
 				// mid-range (crash, re-lease) and the janitor will
 				// handle the lease.
-				writeJSON(w, http.StatusOK, streamResult{OK: true})
+				obs.WriteJSON(w, http.StatusOK, streamResult{OK: true})
 				return
 			}
 			// Torn stream (worker died mid-frame): nothing to undo —
 			// only fully-decoded frames were merged.
-			writeJSON(w, http.StatusBadRequest, streamResult{Reason: "stream decode: " + err.Error()})
+			obs.WriteJSON(w, http.StatusBadRequest, streamResult{Reason: "stream decode: " + err.Error()})
 			return
 		}
 		if err := c.acceptFrame(rangeID, attempt, worker, f); err != nil {
 			c.log.Warn("dist_frame_rejected", "range", rangeID, "attempt", attempt,
 				"worker", worker, "type", f.Type, "err", err)
-			writeJSON(w, http.StatusConflict, streamResult{Reason: err.Error()})
+			obs.WriteJSON(w, http.StatusConflict, streamResult{Reason: err.Error()})
 			return
 		}
 	}
 }
 
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Progress())
+	obs.WriteJSON(w, http.StatusOK, c.Progress())
 }

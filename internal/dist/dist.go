@@ -37,7 +37,6 @@ package dist
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/datasets"
 	"repro/internal/engine"
@@ -112,12 +111,7 @@ func (s Spec) LoadGraph() (*graph.Bipartite, error) {
 	case s.Path != "":
 		return graph.ReadKonectFile(s.Path)
 	}
-	f, err := os.Open(s.Bin)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return graph.ReadBinary(f)
+	return graph.ReadBinaryFile(s.Bin)
 }
 
 func (s Spec) locators() int {

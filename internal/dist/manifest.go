@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/difftest"
 	"repro/internal/spool"
 )
 
@@ -32,13 +33,13 @@ const (
 // re-issue's attempt exceeds any frame a pre-crash zombie could still
 // send (see the fencing rule in the package comment).
 type manifest struct {
-	Version    int         `json:"version"`
-	Spec       Spec        `json:"spec"`
-	LeaseTTLMS int64       `json:"lease_ttl_ms"`
-	Complete   bool        `json:"complete"`
-	Global     *DigestJSON `json:"global,omitempty"`
-	Ranges     []rangeJSON `json:"ranges"`
-	WrittenAt  string      `json:"written_at"`
+	Version    int              `json:"version"`
+	Spec       Spec             `json:"spec"`
+	LeaseTTLMS int64            `json:"lease_ttl_ms"`
+	Complete   bool             `json:"complete"`
+	Global     *difftest.Digest `json:"global,omitempty"`
+	Ranges     []rangeJSON      `json:"ranges"`
+	WrittenAt  string           `json:"written_at"`
 }
 
 // rangeJSON is one range's persisted state. Digest summarizes exactly
@@ -46,14 +47,14 @@ type manifest struct {
 // under the coordinator lock and persisted in one atomic write, which is
 // what makes a crash-recovered resume merge-exact.
 type rangeJSON struct {
-	ID        int        `json:"id"`
-	Start     int32      `json:"start"`
-	End       int32      `json:"end"`
-	State     string     `json:"state"`
-	Attempt   int        `json:"attempt"`
-	Watermark int32      `json:"watermark"`
-	Worker    string     `json:"worker,omitempty"`
-	Digest    DigestJSON `json:"digest"`
+	ID        int             `json:"id"`
+	Start     int32           `json:"start"`
+	End       int32           `json:"end"`
+	State     string          `json:"state"`
+	Attempt   int             `json:"attempt"`
+	Watermark int32           `json:"watermark"`
+	Worker    string          `json:"worker,omitempty"`
+	Digest    difftest.Digest `json:"digest"`
 }
 
 // manifestPath resolves the manifest file inside dir.
@@ -65,11 +66,7 @@ func manifestPath(dir string) string { return filepath.Join(dir, ManifestName) }
 func writeManifest(dir string, m manifest, durable bool) error {
 	m.Version = ProtocolVersion
 	m.WrittenAt = time.Now().UTC().Format(time.RFC3339)
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("dist: marshal manifest: %w", err)
-	}
-	return spool.AtomicWriteFile(manifestPath(dir), blob, durable)
+	return spool.WriteJSON(manifestPath(dir), m, durable)
 }
 
 // loadManifest reads the manifest in dir. found is false when no

@@ -1,11 +1,6 @@
 package dist
 
-import (
-	"fmt"
-	"strconv"
-
-	"repro/internal/difftest"
-)
+import "repro/internal/difftest"
 
 // Wire protocol version, carried in the config and the manifest. Bump on
 // any incompatible change to the frame or manifest schema.
@@ -51,11 +46,11 @@ type Lease struct {
 //     streamed, which the coordinator cross-checks against its own
 //     merge of the attempt's deltas before marking the range done.
 type Frame struct {
-	Type  string      `json:"type"`
-	From  int32       `json:"from,omitempty"`
-	To    int32       `json:"to,omitempty"`
-	Delta *DigestJSON `json:"delta,omitempty"`
-	Total *DigestJSON `json:"total,omitempty"`
+	Type  string           `json:"type"`
+	From  int32            `json:"from,omitempty"`
+	To    int32            `json:"to,omitempty"`
+	Delta *difftest.Digest `json:"delta,omitempty"`
+	Total *difftest.Digest `json:"total,omitempty"`
 }
 
 // streamResult is the response body of a range stream (and of lease
@@ -63,42 +58,4 @@ type Frame struct {
 type streamResult struct {
 	OK     bool   `json:"ok"`
 	Reason string `json:"reason,omitempty"`
-}
-
-// DigestJSON is the wire/manifest form of difftest.Digest. The three
-// uint64 folds are hex strings: JSON numbers round-trip through float64
-// in most decoders and silently lose bits above 2^53, which for a digest
-// means false "equal" or false "different" — unacceptable either way.
-type DigestJSON struct {
-	Count int64  `json:"count"`
-	Sum   string `json:"sum"`
-	Xor   string `json:"xor"`
-	Fold  string `json:"fold"`
-}
-
-// ToJSON converts a digest to its wire form.
-func ToJSON(d difftest.Digest) DigestJSON {
-	return DigestJSON{
-		Count: d.Count,
-		Sum:   fmt.Sprintf("%016x", d.Sum),
-		Xor:   fmt.Sprintf("%016x", d.Xor),
-		Fold:  fmt.Sprintf("%016x", d.Fold),
-	}
-}
-
-// FromJSON parses the wire form back into a digest.
-func FromJSON(j DigestJSON) (difftest.Digest, error) {
-	sum, err := strconv.ParseUint(j.Sum, 16, 64)
-	if err != nil {
-		return difftest.Digest{}, fmt.Errorf("dist: bad digest sum %q: %w", j.Sum, err)
-	}
-	xor, err := strconv.ParseUint(j.Xor, 16, 64)
-	if err != nil {
-		return difftest.Digest{}, fmt.Errorf("dist: bad digest xor %q: %w", j.Xor, err)
-	}
-	fold, err := strconv.ParseUint(j.Fold, 16, 64)
-	if err != nil {
-		return difftest.Digest{}, fmt.Errorf("dist: bad digest fold %q: %w", j.Fold, err)
-	}
-	return difftest.Digest{Count: j.Count, Sum: sum, Xor: xor, Fold: fold}, nil
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/order"
 	"repro/internal/server"
 )
@@ -72,21 +73,15 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = 200 * time.Millisecond
 	}
-	log := opts.Log
-	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
-	}
 	// No overall client timeout: range streams are long-lived.
-	return &Worker{opts: opts, client: &http.Client{}, log: log}
+	return &Worker{opts: opts, client: &http.Client{}, log: obs.Logger(opts.Log)}
 }
 
-// retryPolicy is the worker's schedule for idempotent control calls
+// controlRetry is the worker's schedule for idempotent control calls
 // (config, lease). Stream frames are NOT retried — the stream either
 // lives or the range is re-leased — so exactly-once never depends on
 // retry semantics.
-func (w *Worker) retryPolicy() server.RetryPolicy {
-	return server.RetryPolicy{MaxAttempts: 5, Backoff: server.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}}
-}
+var controlRetry = server.RetryPolicy{MaxAttempts: 5, Backoff: server.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}}
 
 // Run drives the worker loop: fetch config, then lease-enumerate-stream
 // until the coordinator reports the run complete (or ctx is canceled).
@@ -100,14 +95,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lease, state, err := w.acquireLease(ctx)
+		var lease Lease
+		status, err := w.call(ctx, http.MethodPost, "/dist/v1/lease", leaseRequest{Worker: w.opts.ID}, &lease)
 		switch {
 		case err != nil:
 			return err
-		case state == leaseRunDone:
+		case status == http.StatusGone:
 			w.log.Info("dist_worker_exit", "worker", w.opts.ID, "reason", "run complete")
 			return nil
-		case state == leaseNoneAvailable:
+		case status == http.StatusNoContent:
+			// Every remaining range is leased: poll again.
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -127,33 +124,55 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// bootstrap fetches the coordinator config, loads and verifies the
-// graph, and applies the spec's ordering.
-func (w *Worker) bootstrap(ctx context.Context) error {
-	var cfg Config
-	err := server.Retry(ctx, w.retryPolicy(), func(int) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.opts.Coord+"/dist/v1/config", nil)
+// call makes one idempotent control call (config, lease) to the
+// coordinator under controlRetry and returns its status: 200, with the
+// answer decoded into out, or 204 or 410, which carry no answer. Any
+// other status, or a failed transport, is retried.
+func (w *Worker) call(ctx context.Context, method, path string, body, out any) (int, error) {
+	var blob []byte
+	if body != nil {
+		// Control bodies are structs of strings: they always marshal.
+		blob, _ = json.Marshal(body)
+	}
+	status := 0
+	err := server.Retry(ctx, controlRetry, func(int) error {
+		req, err := http.NewRequestWithContext(ctx, method, w.opts.Coord+path, bytes.NewReader(blob))
 		if err != nil {
 			return server.Permanent(err)
 		}
+		req.Header.Set("Content-Type", "application/json")
 		resp, err := w.client.Do(req)
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("config: HTTP %d", resp.StatusCode)
+		switch status = resp.StatusCode; status {
+		case http.StatusOK:
+			return json.NewDecoder(resp.Body).Decode(out)
+		case http.StatusNoContent, http.StatusGone:
+			return nil
 		}
-		return json.NewDecoder(resp.Body).Decode(&cfg)
+		return fmt.Errorf("%s %s: HTTP %d", method, path, status)
 	})
 	if err != nil {
-		return fmt.Errorf("dist: worker %s: %w", w.opts.ID, err)
+		return 0, fmt.Errorf("dist: worker %s: %w", w.opts.ID, err)
+	}
+	return status, nil
+}
+
+// bootstrap fetches the coordinator config, loads and verifies the
+// graph, and applies the spec's ordering.
+func (w *Worker) bootstrap(ctx context.Context) error {
+	var cfg Config
+	if _, err := w.call(ctx, http.MethodGet, "/dist/v1/config", nil, &cfg); err != nil {
+		return err
 	}
 	if cfg.Version != ProtocolVersion {
 		return fmt.Errorf("dist: coordinator speaks protocol v%d, this worker v%d", cfg.Version, ProtocolVersion)
 	}
 	w.cfg = cfg
 
+	var err error
 	if w.eng, err = cfg.Spec.engineID(); err != nil {
 		return err
 	}
@@ -180,77 +199,15 @@ func (w *Worker) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-type leaseState int
-
-const (
-	leaseGranted leaseState = iota
-	leaseNoneAvailable
-	leaseRunDone
-)
-
-// acquireLease asks the coordinator for a range.
-func (w *Worker) acquireLease(ctx context.Context) (Lease, leaseState, error) {
-	var lease Lease
-	state := leaseGranted
-	body, _ := json.Marshal(leaseRequest{Worker: w.opts.ID})
-	err := server.Retry(ctx, w.retryPolicy(), func(int) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Coord+"/dist/v1/lease", bytes.NewReader(body))
-		if err != nil {
-			return server.Permanent(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := w.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			state = leaseGranted
-			return json.NewDecoder(resp.Body).Decode(&lease)
-		case http.StatusNoContent:
-			state = leaseNoneAvailable
-			return nil
-		case http.StatusGone:
-			state = leaseRunDone
-			return nil
-		default:
-			return fmt.Errorf("lease: HTTP %d", resp.StatusCode)
-		}
-	})
-	if err != nil {
-		return Lease{}, 0, fmt.Errorf("dist: worker %s: %w", w.opts.ID, err)
-	}
-	return lease, state, nil
-}
-
 // runRange enumerates one leased range, streaming watermark deltas as
 // the frontier advances and a final done frame when the range subtree
 // is exhausted.
 func (w *Worker) runRange(ctx context.Context, lease Lease) error {
+	if lease.Resume > lease.End {
+		return fmt.Errorf("range %d attempt %d: resume %d is past end %d", lease.RangeID, lease.Attempt, lease.Resume, lease.End)
+	}
 	rctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-
-	// A lease resuming at the range end has nothing left to enumerate: a
-	// prior attempt streamed every root's delta but its done frame never
-	// landed (crash, or the coordinator restarted between the final wm
-	// frame and the seal). Send the empty done frame the protocol owes.
-	if lease.Resume >= lease.End {
-		st, err := w.openStream(rctx, cancel, lease)
-		if err != nil {
-			return err
-		}
-		dj, tj := ToJSON(difftest.Digest{}), ToJSON(difftest.Digest{})
-		if err := st.send(Frame{Type: "done", From: lease.Resume, To: lease.End, Delta: &dj, Total: &tj}); err != nil {
-			return fmt.Errorf("range %d attempt %d: empty done frame: %w", lease.RangeID, lease.Attempt, err)
-		}
-		if err := st.finish(); err != nil {
-			return fmt.Errorf("range %d attempt %d: %w", lease.RangeID, lease.Attempt, err)
-		}
-		w.log.Info("dist_range_sealed_empty", "worker", w.opts.ID,
-			"range", lease.RangeID, "attempt", lease.Attempt)
-		return nil
-	}
 
 	threads := max(w.opts.Threads, 1)
 	sink := newRangeSink(w.perm, lease.Resume, lease.End, w.eng.Width(threads))
@@ -293,16 +250,24 @@ func (w *Worker) runRange(ctx context.Context, lease Lease) error {
 		}
 	}()
 
-	res, runErr := w.eng.Run(w.ordered, core.Options{
-		Tau:       w.cfg.Spec.Tau,
-		Threads:   threads,
-		Context:   rctx,
-		FaultHook: w.opts.FaultHook,
-		Sink:      sink,
-		Frontier:  frontier,
-		StartRoot: lease.Resume,
-		EndRoot:   lease.End,
-	})
+	// A lease resuming at the range end has nothing left to enumerate: a
+	// prior attempt streamed every root's delta but its done frame never
+	// landed (crash, or the coordinator restarted between the final wm
+	// frame and the seal). Only the empty done frame below is owed.
+	var res core.Result
+	var runErr error
+	if lease.Resume < lease.End {
+		res, runErr = w.eng.Run(w.ordered, core.Options{
+			Tau:       w.cfg.Spec.Tau,
+			Threads:   threads,
+			Context:   rctx,
+			FaultHook: w.opts.FaultHook,
+			Sink:      sink,
+			Frontier:  frontier,
+			StartRoot: lease.Resume,
+			EndRoot:   lease.End,
+		})
+	}
 	close(stopFlush)
 	<-flushDone
 
@@ -325,8 +290,7 @@ func (w *Worker) runRange(ctx context.Context, lease Lease) error {
 	total := prog.total
 	prog.sent = lease.End
 	prog.mu.Unlock()
-	dj, tj := ToJSON(delta), ToJSON(total)
-	if err := st.send(Frame{Type: "done", From: from, To: lease.End, Delta: &dj, Total: &tj}); err != nil {
+	if err := st.send(Frame{Type: "done", From: from, To: lease.End, Delta: &delta, Total: &total}); err != nil {
 		return fmt.Errorf("range %d attempt %d: done frame: %w", lease.RangeID, lease.Attempt, err)
 	}
 	if err := st.finish(); err != nil {
@@ -356,9 +320,7 @@ func (w *Worker) flushWatermark(st *stream, sink *rangeSink, frontier *ckpt.Fron
 	defer prog.mu.Unlock()
 	if wm > prog.sent {
 		delta := sink.drain(prog.sent, wm)
-		dj := ToJSON(delta)
-		f := Frame{Type: "wm", From: prog.sent, To: wm, Delta: &dj}
-		if err := st.send(f); err != nil {
+		if err := st.send(Frame{Type: "wm", From: prog.sent, To: wm, Delta: &delta}); err != nil {
 			return err
 		}
 		prog.total.Merge(delta)

@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"expvar"
+	"io"
+	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -50,24 +53,43 @@ func publishExpvar() {
 	})
 }
 
+// WriteJSON answers an HTTP request with v as indented JSON: the one
+// JSON responder of the debug mux, mbed and mbecoord. A failed write
+// means the client went away, so its error is dropped.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// Logger returns l, or a logger that discards every record when l is
+// nil: the default of every Logger/Log option in the service layer.
+func Logger(l *slog.Logger) *slog.Logger {
+	if l != nil {
+		return l
+	}
+	// slog.DiscardHandler needs Go 1.24; go.mod declares 1.23. A level
+	// above every record's disables the handler just as cheaply.
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+}
+
 // progressHandler serves the active run's Snapshot as JSON. 404 with a
 // JSON body while no run is published, so pollers can retry cheaply.
 func progressHandler(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	r := Active()
 	if r == nil {
+		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNotFound)
 		_, _ = w.Write([]byte(`{"active":false}` + "\n"))
 		return
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(r.Snapshot())
+	WriteJSON(w, http.StatusOK, r.Snapshot())
 }
 
 // DebugMux returns the /debug handler tree:
 //
-//	/metrics          — Default registry, Prometheus text exposition
 //	/debug/progress   — live Snapshot of the published run (JSON)
 //	/debug/vars       — expvar (includes mbe.progress)
 //	/debug/pprof/...  — net/http/pprof (profile, heap, trace, ...)
@@ -79,7 +101,6 @@ func progressHandler(w http.ResponseWriter, _ *http.Request) {
 func DebugMux() *http.ServeMux {
 	publishExpvar()
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Default.Handler())
 	mux.HandleFunc("/debug/progress", progressHandler)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -90,7 +111,7 @@ func DebugMux() *http.ServeMux {
 	return mux
 }
 
-// ShutdownTimeout bounds how long a debug (or mbed) server drains
+// ShutdownTimeout bounds how long a debug, mbed or mbecoord server drains
 // in-flight requests on shutdown: long enough for a progress poll or a
 // small pprof read to finish, short enough that exiting never hangs on
 // an abandoned connection (a stuck `curl /debug/pprof/trace`, say).
@@ -114,7 +135,7 @@ func ServeDebug(addr string) (bound string, shutdown func(), err error) {
 // (no new connections), in-flight requests get up to timeout to finish,
 // and whatever is still open after that is force-closed so no listener
 // or connection outlives the shutdown call. Shared by the cmd/mbe and
-// cmd/mbebench -debug-addr endpoints and the mbed daemon.
+// cmd/mbebench -debug-addr endpoints, the mbed daemon and mbecoord.
 func ShutdownServer(srv *http.Server, timeout time.Duration) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()

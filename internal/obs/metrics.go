@@ -30,19 +30,14 @@ import (
 //     SIGTERM and relaunches it cannot hit a duplicate-registration
 //     panic the way expvar.Publish would.
 
-// A Registry holds a process's (or server's) metric families and
-// renders them as Prometheus text exposition. Create one per server
-// (tests run many servers per process); standalone tools share Default.
+// A Registry holds a server's metric families and renders them as
+// Prometheus text exposition. Create one per server (tests run many
+// servers per process): mbed and mbecoord each serve theirs at /metrics.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
 }
-
-// Default is the process-wide registry standalone tools (mbe, mbebench
-// -debug-addr) expose at /metrics on the debug mux. The mbed daemon
-// uses its own per-Server registry instead.
-var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {

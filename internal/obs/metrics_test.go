@@ -137,24 +137,29 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 
 // TestDebugServerRestartIdempotent relaunches the debug server the way
 // mbed does after SIGTERM-then-restart in tests: both generations must
-// serve /metrics and /debug/vars without a duplicate-registration
+// serve /debug/vars and /debug/pprof/ without a duplicate-registration
 // panic (expvar.Publish would panic; the Once guard and per-call mux
-// must absorb it).
+// must absorb it). The debug mux serves no /metrics: only mbed and
+// mbecoord have a registry to expose.
 func TestDebugServerRestartIdempotent(t *testing.T) {
 	for gen := 0; gen < 2; gen++ {
 		addr, shutdown, err := ServeDebug("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, path := range []string{"/metrics", "/debug/vars"} {
+		for path, want := range map[string]int{
+			"/debug/vars":   http.StatusOK,
+			"/debug/pprof/": http.StatusOK,
+			"/metrics":      http.StatusNotFound,
+		} {
 			resp, err := http.Get("http://" + addr + path)
 			if err != nil {
 				t.Fatalf("gen %d: GET %s: %v", gen, path, err)
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("gen %d: GET %s = %d", gen, path, resp.StatusCode)
+			if resp.StatusCode != want {
+				t.Errorf("gen %d: GET %s = %d, want %d", gen, path, resp.StatusCode, want)
 			}
 		}
 		shutdown()

@@ -128,10 +128,6 @@ func (s *Server) attempt(jobCtx context.Context, j *job, g *mbe.Graph, try int) 
 	if threads == 0 {
 		threads = j.m.Spec.Threads
 	}
-	memBudget := j.m.Spec.MaxMemoryBytes
-	if memBudget == 0 {
-		memBudget = s.cfg.defaultJobMem()
-	}
 	spec := j.m.Spec
 	prevState := j.m.State
 	prevSince := j.stateSince
@@ -188,7 +184,7 @@ func (s *Server) attempt(jobCtx context.Context, j *job, g *mbe.Graph, try int) 
 		Threads:        threads,
 		Context:        jobCtx,
 		Deadline:       deadline,
-		MaxMemoryBytes: memBudget,
+		MaxMemoryBytes: s.cfg.jobMem(spec),
 		Obs:            rec,
 		SpoolDir:       spoolDir,
 		// Exactly-once across attempts and daemon restarts: every
@@ -360,12 +356,9 @@ func (s *Server) transition(j *job, to JobState, err error) {
 // finalize releases the job's admission charge exactly once.
 func (s *Server) finalize(j *job) {
 	j.mu.Lock()
-	charge := j.m.Spec.MaxMemoryBytes
+	spec := j.m.Spec
 	j.mu.Unlock()
-	if charge == 0 {
-		charge = s.cfg.defaultJobMem()
-	}
-	s.adm.release(charge)
+	s.adm.release(s.cfg.jobMem(spec))
 }
 
 // persist writes the manifest, logging (not propagating) failures: a

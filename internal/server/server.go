@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -72,11 +73,16 @@ func (c Config) concurrency() int {
 	return c.Concurrency
 }
 
-func (c Config) defaultJobMem() int64 {
-	if c.DefaultJobMemBytes <= 0 {
-		return 256 << 20
+// jobMem is a job's engine-memory budget and admission charge: the
+// spec's own, else DefaultJobMemBytes, else 256 MiB.
+func (c Config) jobMem(spec JobSpec) int64 {
+	switch {
+	case spec.MaxMemoryBytes > 0:
+		return spec.MaxMemoryBytes
+	case c.DefaultJobMemBytes > 0:
+		return c.DefaultJobMemBytes
 	}
-	return c.DefaultJobMemBytes
+	return 256 << 20
 }
 
 func (c Config) defaultDeadline() time.Duration {
@@ -97,7 +103,7 @@ func (c Config) maxAttempts() int {
 // durable job store, an executor pool, and the HTTP surface. Create
 // one with New, serve Handler(), stop with Close.
 type Server struct {
-	cfg   cfgResolved
+	cfg   Config
 	store *Store
 	adm   *admission
 	met   *serverMetrics
@@ -117,10 +123,6 @@ type Server struct {
 	started time.Time
 }
 
-// cfgResolved is Config plus the derived accessors — kept as the
-// original struct so the methods above apply.
-type cfgResolved = Config
-
 // New opens (or reopens) the job store under cfg.Dir, runs restart
 // recovery — re-adopting completed jobs into the result cache and
 // re-enqueueing interrupted ones, which then resume exactly-once from
@@ -137,7 +139,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		store:   store,
 		met:     newServerMetrics(),
-		log:     cfg.logger(),
+		log:     obs.Logger(cfg.Logger),
 		jobs:    make(map[string]*job),
 		cache:   make(map[string]string),
 		started: time.Now(),
@@ -167,22 +169,14 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	maxJobs := cfg.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = 64
-	}
-	s.adm = newAdmission(cfg.RatePerSec, cfg.Burst, maxJobs, cfg.MemBudgetBytes)
+	s.adm = newAdmission(cfg.RatePerSec, cfg.Burst, cfg.MaxJobs, cfg.MemBudgetBytes)
 	s.met.bindAdmission(s.adm)
 	// Recovered jobs were admitted before the crash: re-charge them
 	// without consulting the rate limiter, and size the queue so they
 	// always fit alongside a full admission window.
-	s.queue = make(chan *job, maxJobs+len(resume))
+	s.queue = make(chan *job, s.adm.maxJobs+len(resume))
 	for _, j := range resume {
-		charge := j.m.Spec.MaxMemoryBytes
-		if charge == 0 {
-			charge = cfg.defaultJobMem()
-		}
-		s.adm.adopt(charge)
+		s.adm.adopt(cfg.jobMem(j.m.Spec))
 		s.queue <- j
 		s.met.recovered.Inc()
 		// Same trace_id as before the crash — the manifest carried it
@@ -256,21 +250,13 @@ func (s *Server) Handler() http.Handler {
 
 // --- HTTP plumbing ---------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 type errorBody struct {
 	Error        string `json:"error"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorBody{Error: msg})
+	obs.WriteJSON(w, code, errorBody{Error: msg})
 }
 
 // shed writes the 429 + Retry-After response for an admission miss.
@@ -287,7 +273,7 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, oc *OverCapacityEr
 	s.log.Warn("job_shed",
 		"trace_id", traceFrom(r.Context()), "reason", oc.Kind,
 		"retry_after_s", secs, "detail", oc.Reason)
-	writeJSON(w, http.StatusTooManyRequests, errorBody{
+	obs.WriteJSON(w, http.StatusTooManyRequests, errorBody{
 		Error:        oc.Error(),
 		RetryAfterMS: oc.RetryAfter.Milliseconds(),
 	})
@@ -321,7 +307,7 @@ func (s *Server) handleSubmitGraph(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"graph_id": id,
 		"nu":       g.NU(),
 		"nv":       g.NV(),
@@ -366,17 +352,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			s.met.cacheHits.Inc()
 			s.log.Info("job_cache_hit",
 				"trace_id", traceFrom(r.Context()), "job_id", m.ID, "cache_key", m.CacheKey)
-			writeJSON(w, http.StatusOK, map[string]any{
+			obs.WriteJSON(w, http.StatusOK, map[string]any{
 				"job_id": m.ID, "state": m.State, "cache_hit": true, "result": m.Result,
 			})
 			return
 		}
 	}
 
-	charge := spec.MaxMemoryBytes
-	if charge == 0 {
-		charge = s.cfg.defaultJobMem()
-	}
+	charge := s.cfg.jobMem(spec)
 	if err := s.adm.admit(charge); err != nil {
 		var oc *OverCapacityError
 		if errors.As(err, &oc) {
@@ -404,7 +387,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		"trace_id", m.TraceID, "job_id", m.ID, "graph_id", spec.GraphID,
 		"algorithm", spec.Algorithm, "threads", spec.Threads, "mem_charge", charge)
 	s.queue <- j // capacity ≥ MaxJobs, admission makes this non-blocking
-	writeJSON(w, http.StatusAccepted, map[string]any{"job_id": m.ID, "state": m.State})
+	obs.WriteJSON(w, http.StatusAccepted, map[string]any{"job_id": m.ID, "state": m.State})
 }
 
 func (s *Server) lookup(id string) *job {
@@ -421,17 +404,8 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobsMu.RUnlock()
 	// Stable order for humans and scripts: newest last.
-	sortManifests(out)
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
-}
-
-func sortManifests(ms []Manifest) {
-	for i := 1; i < len(ms); i++ { // insertion sort; job lists are small
-		for k := i; k > 0 && (ms[k].CreatedAt < ms[k-1].CreatedAt ||
-			(ms[k].CreatedAt == ms[k-1].CreatedAt && ms[k].ID < ms[k-1].ID)); k-- {
-			ms[k], ms[k-1] = ms[k-1], ms[k]
-		}
-	}
+	slices.SortFunc(out, byCreation)
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 // jobStatus is the GET /v1/jobs/{id} body: the manifest plus, while an
@@ -447,7 +421,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	writeJSON(w, http.StatusOK, jobStatus{Manifest: j.manifest(), Progress: j.snapshot()})
+	obs.WriteJSON(w, http.StatusOK, jobStatus{Manifest: j.manifest(), Progress: j.snapshot()})
 }
 
 // resultWriteBytes is how much of a result stream the handler gathers
@@ -554,7 +528,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("job_cancel_requested",
 			"trace_id", tid, "job_id", j.m.ID, "state", string(state))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"job_id": j.m.ID, "state": state, "canceling": !state.Terminal()})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"job_id": j.m.ID, "state": state, "canceling": !state.Terminal()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -562,7 +536,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.jobsMu.RLock()
 	total := len(s.jobs)
 	s.jobsMu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":              "ok",
 		"uptime_ms":           time.Since(s.started).Milliseconds(),
 		"jobs_total":          total,

@@ -1,13 +1,14 @@
 package server
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	mbe "repro"
@@ -98,13 +99,14 @@ func (s *Store) HasGraph(id string) bool {
 	return err == nil
 }
 
-// NewJobID mints a fresh random job id.
-func NewJobID() (string, error) {
+// newID mints a random id: prefix and 16 hex digits. Job ids use "j",
+// trace ids "t".
+func newID(prefix string) (string, error) {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "", err
 	}
-	return "j" + hex.EncodeToString(b[:]), nil
+	return prefix + hex.EncodeToString(b[:]), nil
 }
 
 // CreateJob materializes a fresh job directory and its initial queued
@@ -112,7 +114,7 @@ func NewJobID() (string, error) {
 // write is the commit point: a crash before it leaves nothing recovery
 // would pick up.
 func (s *Store) CreateJob(spec JobSpec, traceID string) (Manifest, error) {
-	id, err := NewJobID()
+	id, err := newID("j")
 	if err != nil {
 		return Manifest{}, err
 	}
@@ -132,11 +134,7 @@ func (s *Store) CreateJob(spec JobSpec, traceID string) (Manifest, error) {
 // either the previous manifest or this one — never a torn file.
 func (s *Store) WriteManifest(m Manifest) error {
 	m.UpdatedAt = time.Now().UTC().Format(time.RFC3339)
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return spool.AtomicWriteFile(s.manifestPath(m.ID), append(blob, '\n'), true)
+	return spool.WriteJSON(s.manifestPath(m.ID), m, true)
 }
 
 // ReadManifest loads one job's manifest.
@@ -176,11 +174,11 @@ func (s *Store) Scan(onBad func(id string, err error)) ([]Manifest, error) {
 		}
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CreatedAt != out[j].CreatedAt {
-			return out[i].CreatedAt < out[j].CreatedAt
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, byCreation)
 	return out, nil
+}
+
+// byCreation orders manifests oldest first: by CreatedAt, then by id.
+func byCreation(a, b Manifest) int {
+	return cmp.Or(cmp.Compare(a.CreatedAt, b.CreatedAt), cmp.Compare(a.ID, b.ID))
 }

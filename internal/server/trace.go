@@ -2,12 +2,7 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
-	"io"
-	"log/slog"
-	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -25,17 +20,6 @@ const TraceHeader = "X-MBE-Trace"
 // containing non-token characters) is replaced with a fresh id rather
 // than propagated into logs and manifests.
 const maxTraceLen = 64
-
-// NewTraceID mints a fresh random trace id ("t" + 16 hex chars).
-func NewTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is unheard of; fall back to a fixed id
-		// rather than plumbing an error through every submit path.
-		return "t0000000000000000"
-	}
-	return "t" + hex.EncodeToString(b[:])
-}
 
 // sanitizeTrace validates a client-supplied trace id: printable
 // URL/log-safe characters only, bounded length. Returns "" when the
@@ -62,20 +46,6 @@ type traceKey struct{}
 func traceFrom(ctx context.Context) string {
 	id, _ := ctx.Value(traceKey{}).(string)
 	return id
-}
-
-// --- slog plumbing ---------------------------------------------------
-
-// logger resolves the Config's logging surface into one *slog.Logger:
-// Logger, or a discarding one when it is nil. Every operational event in
-// the daemon goes through this — there is no second, ad-hoc log path.
-func (c Config) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	// slog.DiscardHandler needs Go 1.24; go.mod declares 1.23. A level
-	// above every record's disables the handler just as cheaply.
-	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 }
 
 // --- HTTP instrumentation -------------------------------------------
@@ -134,7 +104,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tid := sanitizeTrace(r.Header.Get(TraceHeader))
 		if tid == "" {
-			tid = NewTraceID()
+			var err error
+			if tid, err = newID("t"); err != nil {
+				// crypto/rand failing is unheard of; a fixed id stands in
+				// rather than failing the request.
+				tid = "t0000000000000000"
+			}
 		}
 		w.Header().Set(TraceHeader, tid)
 		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, tid))

@@ -86,12 +86,7 @@ func Create(dir string, meta Meta, opts WriterOptions) (*Writer, error) {
 		return nil, fmt.Errorf("spool: %s already holds a spool (resume instead of creating)", dir)
 	}
 	meta.Version = Version
-	blob, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	durable := opts.Fsync != FsyncNever
-	if err := AtomicWriteFile(metaPath, append(blob, '\n'), durable); err != nil {
+	if err := WriteJSON(metaPath, meta, opts.Fsync != FsyncNever); err != nil {
 		return nil, err
 	}
 	w := &Writer{dir: dir, meta: meta, opts: opts}
@@ -385,6 +380,19 @@ func (w *Writer) closeFiles() error {
 		}
 	}
 	return first
+}
+
+// WriteJSON writes v to path as indented JSON plus a newline, through
+// AtomicWriteFile. It is the one writer of the repo's JSON state files:
+// spool meta.json, checkpoint.json, the daemon's job.json and the
+// coordinator's dist-manifest.json. Their readers stay with their owners,
+// since each treats a missing or undecodable file its own way.
+func WriteJSON(path string, v any, durable bool) error {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return AtomicWriteFile(path, append(blob, '\n'), durable)
 }
 
 // AtomicWriteFile writes blob to path via a temp file + rename, with an
